@@ -7,7 +7,6 @@
 #include "src/cluster/coreset.h"
 #include "src/cluster/kmeans.h"
 #include "src/obs/metrics.h"
-#include "src/stats/contingency.h"
 #include "src/core/iunit_similarity.h"
 #include "src/core/sharded.h"
 #include "src/stats/sampling.h"
@@ -25,74 +24,18 @@ struct PivotPlan {
   std::vector<std::string> value_labels;  // parallel
 };
 
-Result<PivotPlan> PlanPivot(const DiscretizedTable& dt,
-                            const CadViewOptions& options) {
-  auto idx = dt.IndexOf(options.pivot_attr);
-  if (!idx) {
-    return Status::NotFound("pivot attribute '" + options.pivot_attr +
-                            "' not in table");
-  }
-  const DiscreteAttr& pivot = dt.attr(*idx);
+// Reads the selected values' codes, and for the default selection their
+// frequencies, from the partition seed. Explicit values resolve against the
+// pivot's full domain labels.
+Result<PivotPlan> PlanPivot(const DiscretizedTable& dt, size_t attr_index,
+                            const CadViewOptions& options,
+                            const PartitionSeed& seed) {
+  const DiscreteAttr& pivot = dt.attr(attr_index);
   PivotPlan plan;
-  plan.attr_index = *idx;
+  plan.attr_index = attr_index;
   if (options.pivot_values.empty()) {
     // All values present in the fragment, most frequent first, for a stable
     // default row order.
-    std::vector<uint64_t> freq(pivot.cardinality(), 0);
-    for (int32_t c : pivot.codes) {
-      if (c >= 0) ++freq[static_cast<size_t>(c)];
-    }
-    std::vector<int32_t> codes;
-    for (size_t c = 0; c < freq.size(); ++c) {
-      if (freq[c] > 0) codes.push_back(static_cast<int32_t>(c));
-    }
-    std::stable_sort(codes.begin(), codes.end(), [&](int32_t a, int32_t b) {
-      if (freq[a] != freq[b]) return freq[a] > freq[b];
-      return a < b;
-    });
-    for (int32_t c : codes) {
-      plan.value_codes.push_back(c);
-      plan.value_labels.push_back(pivot.labels[c]);
-    }
-  } else {
-    for (const std::string& v : options.pivot_values) {
-      int32_t code = -1;
-      for (size_t c = 0; c < pivot.labels.size(); ++c) {
-        if (pivot.labels[c] == v) {
-          code = static_cast<int32_t>(c);
-          break;
-        }
-      }
-      // Values absent from the fragment still get a (possibly empty) row;
-      // encode them with -2 so partitioning yields zero members.
-      plan.value_codes.push_back(code >= 0 ? code : -2);
-      plan.value_labels.push_back(v);
-    }
-  }
-  if (plan.value_codes.empty()) {
-    return Status::InvalidArgument("pivot attribute '" + options.pivot_attr +
-                                   "' has no values in the fragment");
-  }
-  return plan;
-}
-
-// As PlanPivot, but reads value codes and frequencies from a PartitionSeed
-// instead of scanning the pivot column. A valid seed lists exactly the rows a
-// scan would find per code, so the resulting plan (codes, labels, order) is
-// identical to PlanPivot's.
-Result<PivotPlan> PlanPivotFromSeed(const DiscretizedTable& dt,
-                                    const CadViewOptions& options,
-                                    const PartitionSeed& seed) {
-  auto idx = dt.IndexOf(options.pivot_attr);
-  if (!idx) {
-    return Status::NotFound("pivot attribute '" + options.pivot_attr +
-                            "' not in table");
-  }
-  const DiscreteAttr& pivot = dt.attr(*idx);
-  PivotPlan plan;
-  plan.attr_index = *idx;
-  if (options.pivot_values.empty()) {
-    // Same default order as the scan: most frequent first, then code.
     std::vector<std::pair<int32_t, size_t>> counts;
     for (const auto& [code, members] : seed.members_by_code) {
       if (code >= 0 && !members.empty() &&
@@ -110,8 +53,6 @@ Result<PivotPlan> PlanPivotFromSeed(const DiscretizedTable& dt,
       plan.value_labels.push_back(pivot.labels[code]);
     }
   } else {
-    // Explicit values resolve against the full domain labels exactly as in
-    // PlanPivot; only the member lookup (below) comes from the seed.
     for (const std::string& v : options.pivot_values) {
       int32_t code = -1;
       for (size_t c = 0; c < pivot.labels.size(); ++c) {
@@ -120,6 +61,8 @@ Result<PivotPlan> PlanPivotFromSeed(const DiscretizedTable& dt,
           break;
         }
       }
+      // Values absent from the fragment still get a (possibly empty) row;
+      // encode them with -2 so partitioning yields zero members.
       plan.value_codes.push_back(code >= 0 ? code : -2);
       plan.value_labels.push_back(v);
     }
@@ -165,30 +108,37 @@ Result<CadView> BuildCadViewFromDiscretized(const DiscretizedTable& dt,
     return Status::InvalidArgument("max_compare_attrs must be >= 1");
   }
 
-  // Sharded builds (DESIGN.md §13): scan the pivot column shard-parallel into
-  // a merged PartitionSeed, then continue through the seeded path below,
-  // which is already byte-identical to the single-pass scan. A caller-given
-  // seed wins — it means partition membership is already known.
+  auto pivot_index = dt.IndexOf(options.pivot_attr);
+  if (!pivot_index) {
+    return Status::NotFound("pivot attribute '" + options.pivot_attr +
+                            "' not in table");
+  }
+
+  // Every build partitions through a PartitionSeed: the caller's (the view
+  // cache refining a previous selection context) or one scanned here from
+  // the pivot column (DESIGN.md §13). A sharded scan gets its own span ahead
+  // of `partition`; the one-shard scan is the partition stage itself.
   const size_t effective_shards = EffectiveShardCount(
       dt.num_rows(), options.sharding.num_shards,
       options.sharding.min_rows_per_shard);
-  PartitionSeed sharded_seed;
+  PartitionSeed scanned;
+  auto scan = [&]() -> Status {
+    DBX_ASSIGN_OR_RETURN(
+        scanned, BuildShardedPartitionSeed(dt, *pivot_index, options.sharding,
+                                           options.num_threads));
+    return Status::OK();
+  };
   if (seed == nullptr && effective_shards > 1) {
-    if (auto pivot_idx = dt.IndexOf(options.pivot_attr)) {
-      ScopedSpan shard_span(options.tracer, "shard_scan", options.trace_parent);
-      shard_span.AddArg("shards", static_cast<uint64_t>(effective_shards));
-      DBX_ASSIGN_OR_RETURN(
-          sharded_seed,
-          BuildShardedPartitionSeed(dt, *pivot_idx, options.sharding,
-                                    options.num_threads));
-      seed = &sharded_seed;
-    }
-    // Unknown pivot attribute: fall through so PlanPivot reports NotFound.
+    ScopedSpan shard_span(options.tracer, "shard_scan", options.trace_parent);
+    shard_span.AddArg("shards", static_cast<uint64_t>(effective_shards));
+    DBX_RETURN_IF_ERROR(scan());
   }
+  ScopedSpan partition_span(options.tracer, "partition", options.trace_parent);
+  if (seed == nullptr && effective_shards <= 1) DBX_RETURN_IF_ERROR(scan());
+  const PartitionSeed& source = seed != nullptr ? *seed : scanned;
 
-  DBX_ASSIGN_OR_RETURN(
-      PivotPlan plan,
-      seed ? PlanPivotFromSeed(dt, options, *seed) : PlanPivot(dt, options));
+  DBX_ASSIGN_OR_RETURN(PivotPlan plan,
+                       PlanPivot(dt, *pivot_index, options, source));
   const DiscreteAttr& pivot = dt.attr(plan.attr_index);
   if (pivot.original_type != AttrType::kCategorical &&
       pivot.cardinality() > 64) {
@@ -197,49 +147,33 @@ Result<CadView> BuildCadViewFromDiscretized(const DiscretizedTable& dt,
         "' has too many values; discretize it or choose another pivot");
   }
 
-  // Partition rows by selected pivot value — from the seed's member lists
-  // when one is given, otherwise by scanning the pivot column. Both paths
-  // list each partition's members in ascending row-position order.
-  ScopedSpan partition_span(options.tracer, "partition", options.trace_parent);
+  // Each selected value takes its code's member list (ascending row
+  // positions); a code repeated in plan.value_codes feeds only its last
+  // occurrence, earlier duplicates stay empty. A seed scanned here is moved
+  // into the partitions, a caller's is copied.
   std::vector<std::vector<size_t>> partitions(plan.value_codes.size());
-  if (seed) {
-    // As in the scan below, a code repeated in plan.value_codes feeds only
-    // its last occurrence; earlier duplicates stay empty.
-    std::vector<size_t> last_view_of_code;
-    for (size_t v = 0; v < plan.value_codes.size(); ++v) {
-      int32_t code = plan.value_codes[v];
-      if (code < 0) continue;
-      if (static_cast<size_t>(code) >= last_view_of_code.size()) {
-        last_view_of_code.resize(static_cast<size_t>(code) + 1,
-                                 plan.value_codes.size());
-      }
-      last_view_of_code[static_cast<size_t>(code)] = v;
+  std::vector<size_t> last_view_of_code(pivot.cardinality(), partitions.size());
+  for (size_t v = 0; v < plan.value_codes.size(); ++v) {
+    if (plan.value_codes[v] >= 0) {
+      last_view_of_code[static_cast<size_t>(plan.value_codes[v])] = v;
     }
-    for (const auto& [code, members] : seed->members_by_code) {
-      if (code < 0 ||
-          static_cast<size_t>(code) >= last_view_of_code.size()) {
-        continue;
-      }
-      size_t v = last_view_of_code[static_cast<size_t>(code)];
-      if (v < partitions.size()) partitions[v] = members;
+  }
+  for (size_t i = 0; i < source.members_by_code.size(); ++i) {
+    const int32_t code = source.members_by_code[i].first;
+    if (code < 0 || static_cast<size_t>(code) >= last_view_of_code.size()) {
+      continue;
     }
-  } else {
-    std::vector<int32_t> code_to_view(pivot.cardinality(), -1);
-    for (size_t v = 0; v < plan.value_codes.size(); ++v) {
-      int32_t c = plan.value_codes[v];
-      if (c >= 0) code_to_view[static_cast<size_t>(c)] = static_cast<int32_t>(v);
-    }
-    for (size_t i = 0; i < pivot.codes.size(); ++i) {
-      int32_t c = pivot.codes[i];
-      if (c >= 0 && code_to_view[static_cast<size_t>(c)] >= 0) {
-        partitions[static_cast<size_t>(code_to_view[c])].push_back(i);
-      }
+    const size_t v = last_view_of_code[static_cast<size_t>(code)];
+    if (v == partitions.size()) continue;
+    if (seed != nullptr) {
+      partitions[v] = seed->members_by_code[i].second;
+    } else {
+      partitions[v] = std::move(scanned.members_by_code[i].second);
     }
   }
 
   // Class coding for feature selection: row -> index into plan.value_codes,
-  // -1 for rows whose pivot value is not selected. Partitions list exactly
-  // the rows of each selected value, so this equals a pivot-column scan.
+  // -1 for rows whose pivot value is not selected.
   std::vector<int32_t> cls(pivot.codes.size(), -1);
   for (size_t v = 0; v < partitions.size(); ++v) {
     for (size_t i : partitions[v]) cls[i] = static_cast<int32_t>(v);
@@ -247,7 +181,9 @@ Result<CadView> BuildCadViewFromDiscretized(const DiscretizedTable& dt,
 
   partition_span.AddArg("partitions", static_cast<uint64_t>(partitions.size()));
   partition_span.AddArg("rows", static_cast<uint64_t>(pivot.codes.size()));
-  partition_span.AddArg("seeded", seed != nullptr ? "yes" : "no");
+  // "seeded": the member lists were not scanned inside this span.
+  partition_span.AddArg(
+      "seeded", seed != nullptr || effective_shards > 1 ? "yes" : "no");
   partition_span.End();
 
   CadView view;
@@ -255,7 +191,6 @@ Result<CadView> BuildCadViewFromDiscretized(const DiscretizedTable& dt,
 
   // --- Compare-Attribute selection (Problem 1.1) ---------------------------
   Stopwatch sw;
-  Rng rng(options.seed);
 
   FeatureSelectionOptions fs_options = options.feature_selection;
   fs_options.num_threads = options.num_threads;
@@ -291,124 +226,62 @@ Result<CadView> BuildCadViewFromDiscretized(const DiscretizedTable& dt,
         "more user compare attributes than LIMIT COLUMNS");
   }
 
-  // Auto-select the remaining M - N by chi-square relevance.
-  if (chosen_attrs.size() < options.max_compare_attrs) {
-    std::vector<size_t> candidates;
-    for (size_t a = 0; a < dt.num_attrs(); ++a) {
-      if (a == plan.attr_index) continue;
-      if (std::find(chosen_attrs.begin(), chosen_attrs.end(), a) !=
-          chosen_attrs.end()) {
-        continue;
-      }
-      if (dt.attr(a).cardinality() == 0) continue;
-      candidates.push_back(a);
+  std::vector<size_t> candidates;
+  for (size_t a = 0; a < dt.num_attrs(); ++a) {
+    if (a == plan.attr_index) continue;
+    if (std::find(chosen_attrs.begin(), chosen_attrs.end(), a) !=
+        chosen_attrs.end()) {
+      continue;
     }
-
-    // Optimization 1: rank over a row sample.
-    if (options.feature_selection_sample > 0 &&
-        options.feature_selection_sample < dt.num_rows()) {
-      // This inline path bypasses RankFeatures, so it emits the chi_square
-      // span itself.
-      ScopedSpan fs_span(options.tracer, "chi_square", options.trace_parent);
-      fs_span.AddArg("candidates", static_cast<uint64_t>(candidates.size()));
-      fs_span.AddArg("sample",
-                     static_cast<uint64_t>(options.feature_selection_sample));
-      // Sample row *positions* uniformly; rebuild parallel code vectors.
-      std::vector<uint32_t> positions(dt.num_rows());
-      for (uint32_t i = 0; i < positions.size(); ++i) positions[i] = i;
-      RowSet pos_sample =
-          SampleRows(positions, options.feature_selection_sample, &rng);
-      // Rather than copy the whole table, rank with per-attribute code
-      // subsets using a lightweight shim below.
-      std::vector<int32_t> sub_cls(pos_sample.size());
-      for (size_t i = 0; i < pos_sample.size(); ++i) {
-        sub_cls[i] = cls[pos_sample[i]];
-      }
-      // Build contingency-ready codes per candidate on the fly. Candidates
-      // are independent: each task fills its own indexed slot.
-      std::vector<FeatureScore> scores(candidates.size());
-      DBX_RETURN_IF_ERROR(ParallelFor(
-          options.num_threads, 0, candidates.size(), 1,
-          [&](size_t ci) -> Status {
-            size_t a = candidates[ci];
-            const DiscreteAttr& attr = dt.attr(a);
-            std::vector<int32_t> sub_codes(pos_sample.size());
-            for (size_t i = 0; i < pos_sample.size(); ++i) {
-              sub_codes[i] = attr.codes[pos_sample[i]];
-            }
-            ContingencyTable ct = ContingencyTable::FromCodes(
-                sub_cls, plan.value_codes.size(), sub_codes,
-                attr.cardinality());
-            ChiSquareResult chi = ChiSquareTest(ct);
-            FeatureScore fs;
-            fs.attr_index = a;
-            fs.name = attr.name;
-            fs.chi2 = chi.statistic;
-            fs.score = chi.statistic;
-            fs.df = chi.df;
-            fs.p_value = chi.p_value;
-            fs.significant =
-                chi.p_value <= options.feature_selection.significance &&
-                chi.df > 0;
-            scores[ci] = std::move(fs);
-            return Status::OK();
-          }));
-      std::stable_sort(scores.begin(), scores.end(),
-                       [](const FeatureScore& x, const FeatureScore& y) {
-                         if (x.score != y.score) return x.score > y.score;
-                         return x.attr_index < y.attr_index;
-                       });
-      for (const FeatureScore& fs : scores) {
-        if (view.compare_attrs.size() >= options.max_compare_attrs) break;
-        if (!fs.significant) continue;
-        CompareAttribute ca;
-        ca.attr_index = fs.attr_index;
-        ca.name = fs.name;
-        ca.relevance = fs.score;
-        ca.p_value = fs.p_value;
-        view.compare_attrs.push_back(std::move(ca));
-        chosen_attrs.push_back(fs.attr_index);
-      }
-    } else {
-      auto ranked = RankFeatures(dt, cls, plan.value_codes.size(),
-                                 candidates, fs_options);
-      if (!ranked.ok()) return ranked.status();
-      for (const FeatureScore& fs : *ranked) {
-        if (view.compare_attrs.size() >= options.max_compare_attrs) break;
-        if (!fs.significant) continue;
-        CompareAttribute ca;
-        ca.attr_index = fs.attr_index;
-        ca.name = fs.name;
-        ca.relevance = fs.score;
-        ca.p_value = fs.p_value;
-        view.compare_attrs.push_back(std::move(ca));
-        chosen_attrs.push_back(fs.attr_index);
-      }
-    }
+    if (dt.attr(a).cardinality() == 0) continue;
+    candidates.push_back(a);
   }
-  if (view.compare_attrs.empty()) {
-    // Degenerate fragment (e.g. a single pivot value): nothing passes the
-    // significance test. Fall back to the top-scoring candidates so the view
-    // still summarizes the fragment rather than failing.
-    std::vector<size_t> candidates;
-    for (size_t a = 0; a < dt.num_attrs(); ++a) {
-      if (a != plan.attr_index && dt.attr(a).cardinality() > 0) {
-        candidates.push_back(a);
-      }
-    }
-    auto ranked = RankFeatures(dt, cls, plan.value_codes.size(), candidates,
-                               fs_options);
-    if (!ranked.ok()) return ranked.status();
-    for (const FeatureScore& fs : *ranked) {
+  // Ranks `candidates` over `table` (rows classed by `classes`) and appends
+  // them to the view in rank order until it holds M attributes — only the
+  // significant ones unless `significant_only` is false.
+  auto adopt_ranked = [&](const DiscretizedTable& table,
+                          const std::vector<int32_t>& classes,
+                          bool significant_only) -> Status {
+    DBX_ASSIGN_OR_RETURN(std::vector<FeatureScore> ranked,
+                         RankFeatures(table, classes, plan.value_codes.size(),
+                                      candidates, fs_options));
+    for (const FeatureScore& fs : ranked) {
       if (view.compare_attrs.size() >= options.max_compare_attrs) break;
+      if (significant_only && !fs.significant) continue;
       CompareAttribute ca;
       ca.attr_index = fs.attr_index;
       ca.name = fs.name;
       ca.relevance = fs.score;
       ca.p_value = fs.p_value;
       view.compare_attrs.push_back(std::move(ca));
-      chosen_attrs.push_back(fs.attr_index);
     }
+    return Status::OK();
+  };
+
+  // Auto-select the remaining M - N by relevance (chi-square by default).
+  if (chosen_attrs.size() < options.max_compare_attrs) {
+    if (options.feature_selection_sample > 0 &&
+        options.feature_selection_sample < dt.num_rows()) {
+      // Optimization 1: rank over a uniform sample of row positions.
+      Rng rng(options.seed);
+      std::vector<uint32_t> positions(dt.num_rows());
+      for (uint32_t i = 0; i < positions.size(); ++i) positions[i] = i;
+      RowSet sample =
+          SampleRows(positions, options.feature_selection_sample, &rng);
+      std::vector<int32_t> sample_cls(sample.size());
+      for (size_t i = 0; i < sample.size(); ++i) sample_cls[i] = cls[sample[i]];
+      DBX_RETURN_IF_ERROR(adopt_ranked(dt.Project(sample), sample_cls, true));
+    } else {
+      DBX_RETURN_IF_ERROR(adopt_ranked(dt, cls, true));
+    }
+  }
+  if (view.compare_attrs.empty()) {
+    // Degenerate fragment (e.g. a single pivot value): nothing passes the
+    // significance test. Fall back to the top-scoring candidates over the
+    // whole fragment so the view still summarizes it rather than failing.
+    // (An empty view means no user attributes, so `candidates` is every
+    // non-pivot attribute.)
+    DBX_RETURN_IF_ERROR(adopt_ranked(dt, cls, false));
   }
   if (view.compare_attrs.empty()) {
     return Status::FailedPrecondition(

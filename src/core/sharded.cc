@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <utility>
 
 #include "src/util/thread_pool.h"
 
@@ -45,12 +46,12 @@ Status MergePartitionSketch(PartitionSketch* into,
   return Status::OK();
 }
 
-PartitionSeed SeedFromSketch(const PartitionSketch& sketch) {
+PartitionSeed SeedFromSketch(PartitionSketch sketch) {
   PartitionSeed seed;
   for (size_t c = 0; c < sketch.members.size(); ++c) {
     if (!sketch.members[c].empty()) {
       seed.members_by_code.emplace_back(static_cast<int32_t>(c),
-                                        sketch.members[c]);
+                                        std::move(sketch.members[c]));
     }
   }
   return seed;
@@ -80,7 +81,7 @@ Result<PartitionSeed> BuildShardedPartitionSeed(const DiscretizedTable& dt,
   for (size_t s = 1; s < sketches.size(); ++s) {
     DBX_RETURN_IF_ERROR(MergePartitionSketch(&merged, sketches[s]));
   }
-  return SeedFromSketch(merged);
+  return SeedFromSketch(std::move(merged));
 }
 
 }  // namespace dbx

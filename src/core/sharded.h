@@ -1,12 +1,11 @@
 // Copyright (c) DBExplorer reproduction authors.
-// Sharded pivot partitioning for out-of-core-scale CAD View builds
-// (DESIGN.md §13). The table's rows are split into contiguous ranges; each
-// shard scans its range into a PartitionSketch (per-pivot-code member lists),
-// and the sketches merge associatively into the exact PartitionSeed a
-// single-pass scan would produce. The builder then continues through the
-// seeded path, which is already byte-identical to the scan path — so the
-// finished view's bytes are independent of the shard count, exactly as they
-// are independent of the thread count.
+// Pivot partitioning for CAD View builds (DESIGN.md §13). The table's rows
+// are split into contiguous ranges; each shard scans its range into a
+// PartitionSketch (per-pivot-code member lists), and the sketches merge
+// associatively into the exact PartitionSeed a single-pass scan would
+// produce — one shard is that single pass. Every build partitions through
+// such a seed (or a caller's), so the finished view's bytes are independent
+// of the shard count, exactly as they are independent of the thread count.
 
 #pragma once
 
@@ -42,13 +41,14 @@ PartitionSketch ScanPartitionSketch(const std::vector<int32_t>& pivot_codes,
                                           const PartitionSketch& from);
 
 /// The sketch as a PartitionSeed: codes ascending, non-empty members only —
-/// exactly the lists BuildCadViewFromDiscretized's pivot-column scan would
-/// collect.
-PartitionSeed SeedFromSketch(const PartitionSketch& sketch);
+/// the member lists move out of `sketch`.
+PartitionSeed SeedFromSketch(PartitionSketch sketch);
 
 /// Scans the pivot column of `dt` shard-parallel (one task per shard on the
 /// shared pool) and merges the per-shard sketches in shard order. The result
-/// is identical to a single-pass scan for any shard or thread count.
+/// is identical to a single-pass scan for any shard or thread count; with
+/// one shard it is that scan. BuildCadViewFromDiscretized partitions every
+/// unseeded build through it.
 [[nodiscard]] Result<PartitionSeed> BuildShardedPartitionSeed(
     const DiscretizedTable& dt, size_t pivot_attr_index,
     const ShardOptions& sharding, size_t num_threads);

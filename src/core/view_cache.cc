@@ -6,6 +6,7 @@
 #include <iterator>
 
 #include "src/obs/metrics.h"
+#include "src/util/string_util.h"
 
 namespace dbx {
 namespace {
@@ -70,6 +71,18 @@ std::string MakeSnapshotDatasetId(const std::string& name) {
   // same registration.
   static std::atomic<uint64_t> next{1};
   return name + "@" + std::to_string(next.fetch_add(1));
+}
+
+std::string ExplainCacheLine(const ViewCacheStats& stats) {
+  return StringPrintf(
+      "cache: hits=%llu misses=%llu inserts=%llu evictions=%llu "
+      "seeds=%llu entries=%zu bytes=%zu saved_ms=%s\n",
+      static_cast<unsigned long long>(stats.hits),
+      static_cast<unsigned long long>(stats.misses),
+      static_cast<unsigned long long>(stats.inserts),
+      static_cast<unsigned long long>(stats.evictions),
+      static_cast<unsigned long long>(stats.refinement_seeds), stats.entries,
+      stats.bytes_in_use, FormatDouble(stats.hit_saved_ms, 3).c_str());
 }
 
 std::string CanonicalizePredicate(const std::string& predicate) {

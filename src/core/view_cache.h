@@ -121,6 +121,10 @@ struct ViewCacheStats {
   size_t byte_budget = 0;
 };
 
+/// The cache footer EXPLAIN ANALYZE prints: "cache: hits=… misses=…
+/// inserts=… evictions=… seeds=… entries=… bytes=… saved_ms=…\n".
+std::string ExplainCacheLine(const ViewCacheStats& stats);
+
 /// Per-entry diagnostics, MRU first.
 struct ViewCacheEntryInfo {
   std::string canonical;

@@ -160,18 +160,7 @@ Result<std::string> TpFacetSession::ExplainAnalyze() {
   std::string text =
       "EXPLAIN ANALYZE tpfacet view (pivot=" + pivot_attr_ + ")\n\n";
   text += RenderSpanTree(tracer.Events());
-  if (cache_ != nullptr) {
-    const ViewCacheStats s = cache_->stats();
-    text += StringPrintf(
-        "cache: hits=%llu misses=%llu inserts=%llu evictions=%llu "
-        "seeds=%llu entries=%zu bytes=%zu saved_ms=%s\n",
-        static_cast<unsigned long long>(s.hits),
-        static_cast<unsigned long long>(s.misses),
-        static_cast<unsigned long long>(s.inserts),
-        static_cast<unsigned long long>(s.evictions),
-        static_cast<unsigned long long>(s.refinement_seeds), s.entries,
-        s.bytes_in_use, FormatDouble(s.hit_saved_ms, 3).c_str());
-  }
+  if (cache_ != nullptr) text += ExplainCacheLine(cache_->stats());
   return text;
 }
 

@@ -32,6 +32,22 @@ const char* StatementKindName(const Statement& statement) {
   return "statement";
 }
 
+// One ORDER BY key: stable-sorts `rows` by their cells in `col`. Null cells
+// sort last under ASC, first under DESC.
+void StableSortRowsBy(const Column& col, bool ascending, RowSet* rows) {
+  std::stable_sort(rows->begin(), rows->end(), [&](uint32_t a, uint32_t b) {
+    bool na = col.IsNullAt(a), nb = col.IsNullAt(b);
+    if (na || nb) return ascending ? (!na && nb) : (na && !nb);
+    if (col.type() == AttrType::kNumeric) {
+      double x = col.NumberAt(a), y = col.NumberAt(b);
+      return ascending ? x < y : x > y;
+    }
+    const std::string& x = col.DictString(col.CodeAt(a));
+    const std::string& y = col.DictString(col.CodeAt(b));
+    return ascending ? x < y : x > y;
+  });
+}
+
 }  // namespace
 
 void Engine::RegisterTable(const std::string& name, const Table* table) {
@@ -39,25 +55,22 @@ void Engine::RegisterTable(const std::string& name, const Table* table) {
   // fresh snapshot id keeps the new registration's cache keys disjoint from
   // every prior one (correctness, even across engines sharing the cache);
   // invalidating the superseded id just reclaims budget promptly.
-  auto it = dataset_ids_.find(name);
-  if (cache_ != nullptr && it != dataset_ids_.end()) {
-    cache_->InvalidateDataset(it->second);
+  auto it = tables_.find(name);
+  if (cache_ != nullptr && it != tables_.end()) {
+    cache_->InvalidateDataset(it->second.dataset_id);
   }
-  dataset_ids_[name] = MakeSnapshotDatasetId(name);
-  tables_[name] = table;
+  RegisterTableSnapshot(name, table, MakeSnapshotDatasetId(name));
 }
 
 void Engine::RegisterTableSnapshot(const std::string& name, const Table* table,
                                    std::string dataset_id) {
-  dataset_ids_[name] = std::move(dataset_id);
-  tables_[name] = table;
+  RegisterTableSnapshot(name, BorrowedTable(table), std::move(dataset_id));
 }
 
 void Engine::RegisterTableSnapshot(const std::string& name,
                                    std::shared_ptr<const Table> table,
                                    std::string dataset_id) {
-  RegisterTableSnapshot(name, table.get(), std::move(dataset_id));
-  owned_tables_[name] = std::move(table);
+  tables_[name] = {std::move(table), std::move(dataset_id)};
 }
 
 Result<ExecOutcome> Engine::ExecuteSql(const std::string& sql) {
@@ -148,7 +161,7 @@ Result<ExecOutcome> Engine::ExecuteSelect(SelectStmt stmt) {
   if (it == tables_.end()) {
     return Status::NotFound("no table named '" + stmt.table + "'");
   }
-  const Table& table = *it->second;
+  const Table& table = *it->second.table;
   if (stmt.is_aggregate()) return ExecuteAggregate(table, std::move(stmt));
 
   // Validate projection.
@@ -176,25 +189,12 @@ Result<ExecOutcome> Engine::ExecuteSelect(SelectStmt stmt) {
   } else {
     out.rows = std::move(slice.rows);
   }
-  // ORDER BY: stable multi-key sort (rightmost key applied first). Null
-  // cells sort last under ASC, first under DESC.
+  // ORDER BY: stable multi-key sort (rightmost key applied first).
   for (auto rit = stmt.order_by.rbegin(); rit != stmt.order_by.rend(); ++rit) {
     const auto& [attr_name, ascending] = *rit;
     auto idx = table.schema().IndexOf(attr_name);
     if (!idx) return Status::NotFound("no attribute named '" + attr_name + "'");
-    const Column& col = table.col(*idx);
-    auto less = [&](uint32_t a, uint32_t b) {
-      bool na = col.IsNullAt(a), nb = col.IsNullAt(b);
-      if (na || nb) return ascending ? (!na && nb) : (na && !nb);
-      if (col.type() == AttrType::kNumeric) {
-        double x = col.NumberAt(a), y = col.NumberAt(b);
-        return ascending ? x < y : x > y;
-      }
-      const std::string& x = col.DictString(col.CodeAt(a));
-      const std::string& y = col.DictString(col.CodeAt(b));
-      return ascending ? x < y : x > y;
-    };
-    std::stable_sort(out.rows.begin(), out.rows.end(), less);
+    StableSortRowsBy(table.col(*idx), ascending, &out.rows);
   }
   if (stmt.limit && out.rows.size() > *stmt.limit) {
     out.rows.resize(*stmt.limit);
@@ -311,7 +311,6 @@ Result<ExecOutcome> Engine::ExecuteAggregate(const Table& table,
   auto derived = std::make_shared<Table>(std::move(*out_schema));
   std::vector<Value> out_row(items.size());
   for (const auto& [key, acc] : groups) {
-    size_t group_pos = 0;
     for (size_t i = 0; i < items.size(); ++i) {
       const Resolved& r = items[i];
       if (!r.item.fn.has_value()) {
@@ -321,7 +320,6 @@ Result<ExecOutcome> Engine::ExecuteAggregate(const Table& table,
           if (table.schema().attr(group_cols[g]).name == r.item.attr) slot = g;
         }
         out_row[i] = acc.group_values[slot];
-        ++group_pos;
         continue;
       }
       switch (*r.item.fn) {
@@ -346,7 +344,6 @@ Result<ExecOutcome> Engine::ExecuteAggregate(const Table& table,
           break;
       }
     }
-    (void)group_pos;
     DBX_RETURN_IF_ERROR(derived->AppendRow(out_row));
   }
 
@@ -366,19 +363,7 @@ Result<ExecOutcome> Engine::ExecuteAggregate(const Table& table,
     if (!idx) {
       return Status::NotFound("no output column named '" + attr_name + "'");
     }
-    const Column& col = derived->col(*idx);
-    auto less = [&](uint32_t a, uint32_t b) {
-      bool na = col.IsNullAt(a), nb = col.IsNullAt(b);
-      if (na || nb) return ascending ? (!na && nb) : (na && !nb);
-      if (col.type() == AttrType::kNumeric) {
-        double x = col.NumberAt(a), y = col.NumberAt(b);
-        return ascending ? x < y : x > y;
-      }
-      const std::string& x = col.DictString(col.CodeAt(a));
-      const std::string& y = col.DictString(col.CodeAt(b));
-      return ascending ? x < y : x > y;
-    };
-    std::stable_sort(out.rows.begin(), out.rows.end(), less);
+    StableSortRowsBy(derived->col(*idx), ascending, &out.rows);
   }
   if (stmt.limit && out.rows.size() > *stmt.limit) {
     out.rows.resize(*stmt.limit);
@@ -405,7 +390,7 @@ Result<ExecOutcome> Engine::ExecuteCreateCadView(CreateCadViewStmt stmt) {
   if (it == tables_.end()) {
     return Status::NotFound("no table named '" + stmt.table + "'");
   }
-  const Table& table = *it->second;
+  const Table& table = *it->second.table;
 
   CadViewOptions options = defaults_;
   options.pivot_attr = stmt.pivot_attr;
@@ -431,7 +416,7 @@ Result<ExecOutcome> Engine::ExecuteCreateCadView(CreateCadViewStmt stmt) {
       }
       std::vector<std::string> predicates;
       if (stmt.where) predicates.push_back(stmt.where->ToString());
-      key = ViewCacheKey::Make(dataset_ids_.at(stmt.table),
+      key = ViewCacheKey::Make(it->second.dataset_id,
                                std::move(predicates), stmt.pivot_attr, {},
                                std::move(params));
       if (auto hit = cache_->Lookup(*key)) {
@@ -528,7 +513,7 @@ Result<ExecOutcome> Engine::ExecuteDescribe(const DescribeStmt& stmt) {
   if (it == tables_.end()) {
     return Status::NotFound("no table named '" + stmt.table + "'");
   }
-  const Table& table = *it->second;
+  const Table& table = *it->second.table;
 
   AsciiTable render;
   render.SetHeader({"attribute", "type", "queriable", "distinct", "nulls",
@@ -576,9 +561,9 @@ Result<ExecOutcome> Engine::ExecuteShow(const ShowStmt& stmt) {
   AsciiTable render;
   if (stmt.what == ShowStmt::What::kTables) {
     render.SetHeader({"table", "rows", "attributes"});
-    for (const auto& [name, table] : tables_) {
-      render.AddRow({name, std::to_string(table->num_rows()),
-                     std::to_string(table->num_cols())});
+    for (const auto& [name, reg] : tables_) {
+      render.AddRow({name, std::to_string(reg.table->num_rows()),
+                     std::to_string(reg.table->num_cols())});
     }
   } else {
     render.SetHeader({"cadview", "pivot", "rows", "compare attrs"});
@@ -667,18 +652,7 @@ Result<ExecOutcome> Engine::ExecuteExplain(ExplainStmt stmt, uint64_t parse_ns) 
 
   std::string text = "EXPLAIN ANALYZE " + inner_sql + "\n\n";
   text += RenderSpanTree(tracer.Events());
-  if (cache_ != nullptr) {
-    const ViewCacheStats s = cache_->stats();
-    text += StringPrintf(
-        "cache: hits=%llu misses=%llu inserts=%llu evictions=%llu "
-        "seeds=%llu entries=%zu bytes=%zu saved_ms=%s\n",
-        static_cast<unsigned long long>(s.hits),
-        static_cast<unsigned long long>(s.misses),
-        static_cast<unsigned long long>(s.inserts),
-        static_cast<unsigned long long>(s.evictions),
-        static_cast<unsigned long long>(s.refinement_seeds), s.entries,
-        s.bytes_in_use, FormatDouble(s.hit_saved_ms, 3).c_str());
-  }
+  if (cache_ != nullptr) text += ExplainCacheLine(cache_->stats());
   const ThreadPool::Stats pool_stats = ThreadPool::Shared().GetStats();
   ExportThreadPoolMetrics(pool_stats, MetricsRegistry::Global());
   text += ThreadPoolStatsLine(pool_stats) + "\n";

@@ -54,6 +54,19 @@ struct ExecOutcome {
   std::string cache_result = "none";
 };
 
+/// One catalog entry: an immutable table and the snapshot dataset id that
+/// keys its cached views.
+struct TableRegistration {
+  std::shared_ptr<const Table> table;
+  std::string dataset_id;
+};
+
+/// A shared_ptr that does not own `table` — the form a table registered by
+/// raw pointer takes in a catalog (its caller owns it).
+inline std::shared_ptr<const Table> BorrowedTable(const Table* table) {
+  return std::shared_ptr<const Table>(std::shared_ptr<const Table>(), table);
+}
+
 /// The exploratory-search engine: executes dialect statements against
 /// registered tables and keeps created CAD Views by name.
 class Engine {
@@ -140,12 +153,7 @@ class Engine {
   [[nodiscard]]
   Result<ExecOutcome> ExecuteExplain(ExplainStmt stmt, uint64_t parse_ns);
 
-  std::map<std::string, const Table*> tables_;
-  /// Snapshot dataset id of each registered name — the cache keying
-  /// identity. Always present for a registered table.
-  std::map<std::string, std::string> dataset_ids_;
-  /// Keep-alive for snapshots registered via the shared_ptr overload.
-  std::map<std::string, std::shared_ptr<const Table>> owned_tables_;
+  std::map<std::string, TableRegistration> tables_;
   std::map<std::string, std::unique_ptr<CadView>> views_;
   CadViewOptions defaults_;
   std::shared_ptr<ViewCache> cache_;

@@ -115,6 +115,8 @@ class Column {
   const std::vector<int32_t>& codes() const { return codes_; }
   /// Raw numeric vector (numeric columns; size() entries).
   const std::vector<double>& numbers() const { return nums_; }
+  /// The dictionary, indexed by code (categorical columns).
+  const std::vector<std::string>& dict() const { return dict_; }
 
  private:
   AttrType type_;

@@ -48,14 +48,10 @@ Dispatcher::Dispatcher(ServerOptions options)
       query_log_(options_.query_log) {}
 
 void Dispatcher::RegisterTable(const std::string& name, const Table* table) {
-  MutexLock lock(mu_);
-  auto it = tables_.find(name);
-  if (it != tables_.end()) {
-    // Superseded registration: its snapshot id keeps old entries unreachable
-    // (correctness); invalidating reclaims their budget promptly.
-    cache_->InvalidateDataset(it->second.second);
-  }
-  tables_[name] = {table, MakeSnapshotDatasetId(name)};
+  // A fresh snapshot id never matches the superseded one, so
+  // RegisterTableSnapshot always invalidates the superseded entries.
+  RegisterTableSnapshot(name, BorrowedTable(table),
+                        MakeSnapshotDatasetId(name));
 }
 
 void Dispatcher::RegisterTableSnapshot(const std::string& name,
@@ -63,15 +59,14 @@ void Dispatcher::RegisterTableSnapshot(const std::string& name,
                                        std::string snapshot_id) {
   MutexLock lock(mu_);
   auto it = tables_.find(name);
-  if (it != tables_.end() && it->second.second != snapshot_id) {
+  if (it != tables_.end() && it->second.dataset_id != snapshot_id) {
     // Different content under the same name: the superseded registration's
     // entries are unreachable under the new id; invalidating reclaims their
     // budget promptly. An unchanged id keeps them — that IS the warm-reopen
     // path.
-    cache_->InvalidateDataset(it->second.second);
+    cache_->InvalidateDataset(it->second.dataset_id);
   }
-  tables_[name] = {table.get(), std::move(snapshot_id)};
-  owned_tables_[name] = std::move(table);
+  tables_[name] = {std::move(table), std::move(snapshot_id)};
 }
 
 Result<std::string> Dispatcher::OpenSession(ConnectionScope* scope) {
@@ -88,8 +83,11 @@ Result<std::string> Dispatcher::OpenSession(ConnectionScope* scope) {
     // Uncontended (the session is not yet published in sessions_); taken so
     // every access to the guarded engine happens under the session mutex.
     MutexLock session_lock(session->mu);
+    // The session shares ownership of each snapshot, so a later
+    // re-registration of the name cannot free what it is reading.
     for (const auto& [name, entry] : tables_) {
-      session->engine.RegisterTableSnapshot(name, entry.first, entry.second);
+      session->engine.RegisterTableSnapshot(name, entry.table,
+                                            entry.dataset_id);
     }
     session->engine.SetDefaultCadViewOptions(options_.cad_defaults);
     session->engine.SetViewCache(cache_);

@@ -117,7 +117,9 @@ class Dispatcher {
   /// content-addressed `snapshot_id` (storage::TableSnapshot::snapshot_id).
   /// Re-registering a name with the SAME id is a no-op for the cache —
   /// reopening an unchanged table keeps every warm entry — while a different
-  /// id invalidates the superseded registration's entries.
+  /// id invalidates the superseded registration's entries. Sessions opened
+  /// on the superseded snapshot share its ownership and keep reading it
+  /// until they close.
   void RegisterTableSnapshot(const std::string& name,
                              std::shared_ptr<const Table> table,
                              std::string snapshot_id);
@@ -177,13 +179,8 @@ class Dispatcher {
   QueryLog* query_log_;  // nullable
 
   mutable Mutex mu_;
-  /// name -> (table, snapshot dataset id); ordered so OPEN registers tables
-  /// deterministically.
-  std::map<std::string, std::pair<const Table*, std::string>> tables_
-      DBX_GUARDED_BY(mu_);
-  /// Keep-alive for snapshots registered via RegisterTableSnapshot.
-  std::map<std::string, std::shared_ptr<const Table>> owned_tables_
-      DBX_GUARDED_BY(mu_);
+  /// Ordered so OPEN registers tables deterministically.
+  std::map<std::string, TableRegistration> tables_ DBX_GUARDED_BY(mu_);
   std::map<std::string, std::shared_ptr<Session>> sessions_
       DBX_GUARDED_BY(mu_);
   uint64_t next_session_id_ DBX_GUARDED_BY(mu_) = 0;

@@ -1,6 +1,55 @@
 #include "src/stats/discretizer.h"
 
+#include <cmath>
+
 namespace dbx {
+
+Result<DiscreteAttr> DiscretizeColumn(const AttributeDef& def,
+                                      const std::vector<int32_t>& codes,
+                                      const std::vector<std::string>& dict,
+                                      const std::vector<double>& numbers,
+                                      const RowSet& rows,
+                                      const DiscretizerOptions& options) {
+  DiscreteAttr da;
+  da.name = def.name;
+  da.original_type = def.type;
+  da.queriable = def.queriable;
+  da.codes.resize(rows.size(), -1);
+
+  if (def.type == AttrType::kCategorical) {
+    // Re-compact dictionary codes to the values present in `rows` so
+    // downstream contingency tables stay dense. Strings are touched once per
+    // distinct value, never per row.
+    std::vector<int32_t> remap(dict.size(), -1);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      int32_t code = codes[rows[i]];
+      if (code == kNullCode) continue;
+      if (remap[code] == -1) {
+        remap[code] = static_cast<int32_t>(da.labels.size());
+        da.labels.push_back(dict[code]);
+      }
+      da.codes[i] = remap[code];
+    }
+    return da;
+  }
+  std::vector<double> vals;
+  vals.reserve(rows.size());
+  for (uint32_t r : rows) {
+    if (!std::isnan(numbers[r])) vals.push_back(numbers[r]);
+  }
+  if (vals.empty()) return da;
+  DBX_ASSIGN_OR_RETURN(
+      da.bins, BuildBins(vals, options.max_numeric_bins, options.strategy));
+  da.labels.reserve(da.bins.num_bins());
+  for (size_t b = 0; b < da.bins.num_bins(); ++b) {
+    da.labels.push_back(da.bins.LabelOf(b));
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const double x = numbers[rows[i]];
+    if (!std::isnan(x)) da.codes[i] = da.bins.BinOf(x);
+  }
+  return da;
+}
 
 Result<DiscretizedTable> DiscretizedTable::Build(
     const TableSlice& slice, const DiscretizerOptions& options) {
@@ -15,49 +64,12 @@ Result<DiscretizedTable> DiscretizedTable::Build(
   out.rows_ = slice.rows;
   out.num_rows_ = slice.rows.size();
   out.attrs_.reserve(t.num_cols());
-
   for (size_t a = 0; a < t.num_cols(); ++a) {
-    const AttributeDef& def = t.schema().attr(a);
     const Column& col = t.col(a);
-    DiscreteAttr da;
-    da.name = def.name;
-    da.original_type = def.type;
-    da.queriable = def.queriable;
-    da.codes.resize(slice.rows.size(), -1);
-
-    if (def.type == AttrType::kCategorical) {
-      // Re-compact dictionary codes to the values present in the slice so
-      // downstream contingency tables stay dense.
-      std::vector<int32_t> remap(col.DictSize(), -1);
-      for (size_t i = 0; i < slice.rows.size(); ++i) {
-        int32_t code = col.CodeAt(slice.rows[i]);
-        if (code == kNullCode) continue;
-        if (remap[code] == -1) {
-          remap[code] = static_cast<int32_t>(da.labels.size());
-          da.labels.push_back(col.DictString(code));
-        }
-        da.codes[i] = remap[code];
-      }
-    } else {
-      std::vector<double> vals;
-      vals.reserve(slice.rows.size());
-      for (uint32_t r : slice.rows) {
-        if (!col.IsNullAt(r)) vals.push_back(col.NumberAt(r));
-      }
-      if (!vals.empty()) {
-        auto bins = BuildBins(vals, options.max_numeric_bins, options.strategy);
-        if (!bins.ok()) return bins.status();
-        da.bins = std::move(bins).value();
-        da.labels.reserve(da.bins.num_bins());
-        for (size_t b = 0; b < da.bins.num_bins(); ++b) {
-          da.labels.push_back(da.bins.LabelOf(b));
-        }
-        for (size_t i = 0; i < slice.rows.size(); ++i) {
-          uint32_t r = slice.rows[i];
-          if (!col.IsNullAt(r)) da.codes[i] = da.bins.BinOf(col.NumberAt(r));
-        }
-      }
-    }
+    DBX_ASSIGN_OR_RETURN(
+        DiscreteAttr da,
+        DiscretizeColumn(t.schema().attr(a), col.codes(), col.dict(),
+                         col.numbers(), slice.rows, options));
     out.attrs_.push_back(std::move(da));
   }
   return out;

@@ -45,6 +45,18 @@ struct DiscreteAttr {
   size_t cardinality() const { return labels.size(); }
 };
 
+/// Discretizes one column over `rows` (positions into the column): the
+/// per-attribute step of DiscretizedTable::Build, which DbxcTableFile
+/// also runs on decoded pages. A categorical column passes its per-row
+/// dictionary `codes` (kNullCode = null) and the `dict` they index — labels
+/// are the values present in `rows`, in first-appearance order; a numeric
+/// column passes `numbers` (NaN = null), binned per `options`. The payload
+/// of the other type is ignored. Null cells get code -1.
+[[nodiscard]] Result<DiscreteAttr> DiscretizeColumn(
+    const AttributeDef& def, const std::vector<int32_t>& codes,
+    const std::vector<std::string>& dict, const std::vector<double>& numbers,
+    const RowSet& rows, const DiscretizerOptions& options);
+
 /// A table slice with every attribute reduced to a small discrete domain.
 class DiscretizedTable {
  public:
@@ -53,11 +65,12 @@ class DiscretizedTable {
   [[nodiscard]] static Result<DiscretizedTable> Build(const TableSlice& slice,
                                         const DiscretizerOptions& options);
 
-  /// Assembles a discretization directly from per-attribute parts. The
-  /// streaming generators (ScaledUsedCars in src/data/synthetic.h) compute
-  /// codes shard-parallel without ever materializing a Value table; `rows`
-  /// indexes the virtual base table and every attribute's codes must be
-  /// parallel to it. Fails on a length mismatch.
+  /// Assembles a discretization directly from per-attribute parts (e.g.
+  /// DiscretizeColumn results). The streaming generators (ScaledUsedCars in
+  /// src/data/synthetic.h) compute codes shard-parallel without ever
+  /// materializing a Value table; `rows` indexes the virtual base table and
+  /// every attribute's codes must be parallel to it. Fails on a length
+  /// mismatch.
   [[nodiscard]] static Result<DiscretizedTable> FromParts(
       std::vector<DiscreteAttr> attrs, RowSet rows);
 

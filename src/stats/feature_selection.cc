@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <optional>
 
 #include "src/obs/metrics.h"
 #include "src/stats/contingency.h"
@@ -39,15 +39,38 @@ Result<std::vector<FeatureScore>> RankFeatures(
   span.AddArg("rows", static_cast<uint64_t>(dt.num_rows()));
   span.AddArg("shards", static_cast<uint64_t>(shards));
   Stopwatch timer;
-  // One contingency table per candidate, each filling its own score slot;
-  // the sort afterwards makes the ranking independent of execution order.
+  for (size_t idx : candidates) {
+    if (idx >= dt.num_attrs()) {
+      return Status::OutOfRange("candidate attribute index out of range");
+    }
+  }
+  // One task per (candidate, shard) pair counts its rows into its own
+  // contingency table (DESIGN.md §13); each candidate's shard tables then
+  // merge in shard order and are scored — with one shard there is nothing
+  // to merge. Count addition is exact, so the merged table, and every score
+  // derived from it, is the same for any shard or thread count.
+  std::vector<ShardRange> ranges = MakeShardRanges(dt.num_rows(), shards);
+  std::vector<std::optional<ContingencyTable>> cells(candidates.size() *
+                                                     shards);
+  DBX_RETURN_IF_ERROR(ParallelFor(
+      options.num_threads, 0, cells.size(), 1, [&](size_t t) -> Status {
+        const DiscreteAttr& a = dt.attr(candidates[t / shards]);
+        const ShardRange& range = ranges[t % shards];
+        cells[t].emplace(ContingencyTable::FromCodesRange(
+            pivot_codes, pivot_cardinality, a.codes, a.cardinality(),
+            range.begin, range.end));
+        return Status::OK();
+      }));
   std::vector<FeatureScore> scores(candidates.size());
-  auto score_one = [&](size_t c, const ContingencyTable& ct) {
-    const DiscreteAttr& a = dt.attr(candidates[c]);
-    ChiSquareResult chi = ChiSquareTest(ct);
-    FeatureScore fs;
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    ContingencyTable& ct = *cells[c * shards];
+    for (size_t s = 1; s < shards; ++s) {
+      DBX_RETURN_IF_ERROR(ct.MergeFrom(*cells[c * shards + s]));
+    }
+    const ChiSquareResult chi = ChiSquareTest(ct);
+    FeatureScore& fs = scores[c];
     fs.attr_index = candidates[c];
-    fs.name = a.name;
+    fs.name = dt.attr(candidates[c]).name;
     fs.chi2 = chi.statistic;
     fs.df = chi.df;
     fs.p_value = chi.p_value;
@@ -63,50 +86,6 @@ Result<std::vector<FeatureScore>> RankFeatures(
         fs.score = CramersV(ct);
         break;
     }
-    scores[c] = std::move(fs);
-  };
-  for (size_t idx : candidates) {
-    if (idx >= dt.num_attrs()) {
-      return Status::OutOfRange("candidate attribute index out of range");
-    }
-  }
-  if (shards <= 1) {
-    DBX_RETURN_IF_ERROR(ParallelFor(
-        options.num_threads, 0, candidates.size(), 1, [&](size_t c) -> Status {
-          const DiscreteAttr& a = dt.attr(candidates[c]);
-          ContingencyTable ct = ContingencyTable::FromCodes(
-              pivot_codes, pivot_cardinality, a.codes, a.cardinality());
-          score_one(c, ct);
-          return Status::OK();
-        }));
-  } else {
-    // Sharded counting (DESIGN.md §13): one task per (candidate, shard) pair
-    // fills its own slot; each candidate's shard tables then merge in shard
-    // order. Count addition is exact, so the merged table — and every score
-    // derived from it — equals the single-pass table for any shard count.
-    std::vector<ShardRange> ranges = MakeShardRanges(dt.num_rows(), shards);
-    std::vector<std::unique_ptr<ContingencyTable>> cells(candidates.size() *
-                                                         shards);
-    DBX_RETURN_IF_ERROR(ParallelFor(
-        options.num_threads, 0, cells.size(), 1, [&](size_t t) -> Status {
-          size_t c = t / shards;
-          size_t s = t % shards;
-          const DiscreteAttr& a = dt.attr(candidates[c]);
-          cells[t] = std::make_unique<ContingencyTable>(
-              ContingencyTable::FromCodesRange(
-                  pivot_codes, pivot_cardinality, a.codes, a.cardinality(),
-                  ranges[s].begin, ranges[s].end));
-          return Status::OK();
-        }));
-    DBX_RETURN_IF_ERROR(ParallelFor(
-        options.num_threads, 0, candidates.size(), 1, [&](size_t c) -> Status {
-          ContingencyTable ct = std::move(*cells[c * shards]);
-          for (size_t s = 1; s < shards; ++s) {
-            DBX_RETURN_IF_ERROR(ct.MergeFrom(*cells[c * shards + s]));
-          }
-          score_one(c, ct);
-          return Status::OK();
-        }));
   }
   std::stable_sort(scores.begin(), scores.end(),
                    [](const FeatureScore& a, const FeatureScore& b) {

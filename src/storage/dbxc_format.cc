@@ -7,7 +7,6 @@
 #include <fstream>
 #include <numeric>
 
-#include "src/stats/histogram.h"
 #include "src/storage/storage.h"
 
 namespace dbx::storage {
@@ -506,53 +505,20 @@ Result<DiscretizedTable> DbxcTableFile::Discretize(
   std::vector<DiscreteAttr> attrs;
   attrs.reserve(num_cols());
   for (size_t c = 0; c < num_cols(); ++c) {
-    const DbxcColumnMeta& m = header_.cols[c];
-    DiscreteAttr da;
-    da.name = m.name;
-    da.original_type = m.type;
-    da.queriable = m.queriable;
-    da.codes.resize(rows, -1);
-    if (m.type == AttrType::kCategorical) {
-      // Same re-compaction as DiscretizedTable::Build: labels appear in
-      // first-appearance order over the (full) slice. The stored codes come
-      // straight off the packed page; the strings are only touched once per
-      // distinct value, never per row.
-      std::vector<int32_t> stored;
-      DBX_RETURN_IF_ERROR(DecodeCodes(c, &stored));
-      auto dict = DictStrings(c);
-      if (!dict.ok()) return dict.status();
-      std::vector<int32_t> remap(m.dict_size, -1);
-      for (size_t r = 0; r < rows; ++r) {
-        int32_t code = stored[r];
-        if (code == kNullCode) continue;
-        if (remap[static_cast<size_t>(code)] == -1) {
-          remap[static_cast<size_t>(code)] =
-              static_cast<int32_t>(da.labels.size());
-          da.labels.push_back((*dict)[static_cast<size_t>(code)]);
-        }
-        da.codes[r] = remap[static_cast<size_t>(code)];
-      }
+    // Same per-column step as DiscretizedTable::Build, fed straight off the
+    // packed pages; one column is decoded at a time.
+    std::vector<int32_t> codes;
+    std::vector<std::string> dict;
+    std::vector<double> numbers;
+    if (header_.cols[c].type == AttrType::kCategorical) {
+      DBX_RETURN_IF_ERROR(DecodeCodes(c, &codes));
+      DBX_ASSIGN_OR_RETURN(dict, DictStrings(c));
     } else {
-      std::vector<double> values;
-      DBX_RETURN_IF_ERROR(CopyNumbers(c, &values));
-      std::vector<double> vals;
-      vals.reserve(rows);
-      for (double d : values) {
-        if (!std::isnan(d)) vals.push_back(d);
-      }
-      if (!vals.empty()) {
-        auto bins = BuildBins(vals, options.max_numeric_bins, options.strategy);
-        if (!bins.ok()) return bins.status();
-        da.bins = std::move(*bins);
-        da.labels.reserve(da.bins.num_bins());
-        for (size_t b = 0; b < da.bins.num_bins(); ++b) {
-          da.labels.push_back(da.bins.LabelOf(b));
-        }
-        for (size_t r = 0; r < rows; ++r) {
-          if (!std::isnan(values[r])) da.codes[r] = da.bins.BinOf(values[r]);
-        }
-      }
+      DBX_RETURN_IF_ERROR(CopyNumbers(c, &numbers));
     }
+    DBX_ASSIGN_OR_RETURN(DiscreteAttr da,
+                         DiscretizeColumn(schema_.attr(c), codes, dict,
+                                          numbers, all, options));
     attrs.push_back(std::move(da));
   }
   return DiscretizedTable::FromParts(std::move(attrs), std::move(all));

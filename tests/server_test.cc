@@ -242,6 +242,42 @@ TEST_F(ServerTest, DroppedConnectionReapsItsSessions) {
   EXPECT_EQ(d->session_count(), 0u);
 }
 
+// An open session shares ownership of the snapshot it opened on: it keeps
+// answering from that snapshot after the name is re-registered and the
+// caller drops its reference, and the snapshot is freed when the session
+// closes.
+TEST_F(ServerTest, OpenSessionKeepsItsSnapshotAlive) {
+  auto d = MakeDispatcher();
+  auto first = std::make_shared<const Table>(GenerateUsedCars(300, 1));
+  const std::weak_ptr<const Table> first_alive = first;
+  d->RegisterTableSnapshot("T", first, "T@first");
+  Dispatcher::ConnectionScope scope;
+  ASSERT_EQ(d->HandleRequest("OPEN", &scope), "OK\ns1");
+
+  d->RegisterTableSnapshot(
+      "T", std::make_shared<const Table>(GenerateUsedCars(200, 2)),
+      "T@second");
+  first.reset();
+  ASSERT_FALSE(first_alive.expired());
+
+  const std::string stmt = "SELECT Make, COUNT(*) FROM T GROUP BY Make";
+  auto exec = DecodeResponse(d->HandleRequest("EXEC s1 " + stmt, &scope));
+  ASSERT_TRUE(exec.ok());
+  ASSERT_TRUE(exec->status.ok()) << exec->status.ToString();
+  auto answer_over = [&](const Table& table) {
+    Engine engine;
+    engine.RegisterTable("T", &table);
+    auto out = engine.ExecuteSql(stmt);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return out.ok() ? out->rendered : "";
+  };
+  EXPECT_EQ(exec->body, answer_over(GenerateUsedCars(300, 1)));
+  EXPECT_NE(exec->body, answer_over(GenerateUsedCars(200, 2)));
+
+  EXPECT_EQ(d->HandleRequest("CLOSE s1", &scope), "OK\nclosed s1");
+  EXPECT_TRUE(first_alive.expired());
+}
+
 TEST_F(ServerTest, RequestGrammarErrors) {
   auto d = MakeDispatcher();
   auto responses = RunScript(

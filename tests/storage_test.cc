@@ -10,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "src/data/used_cars.h"
 #include "src/stats/discretizer.h"
 #include "src/storage/dbxc_backend.h"
 #include "src/storage/dbxc_format.h"
@@ -293,6 +295,60 @@ TEST(DbxcFormatTest, MmapDiscretizeMatchesMaterializedBuild) {
     EXPECT_EQ(x.labels, y.labels);
     EXPECT_EQ(x.codes, y.codes);
     EXPECT_EQ(x.bins.edges, y.bins.edges);
+  }
+}
+
+/// FNV-1a (64-bit) over a discretization's labels, bin edges and codes.
+std::string DiscretizedHash(const DiscretizedTable& dt) {
+  std::string bytes;
+  for (const DiscreteAttr& a : dt.attrs()) {
+    bytes += a.name + "|" + std::to_string(static_cast<int>(a.original_type)) +
+             (a.queriable ? "|q|" : "|h|");
+    for (const std::string& l : a.labels) bytes += l + ",";
+    for (double e : a.bins.edges) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.17g,", e);
+      bytes += buf;
+    }
+    for (int32_t c : a.codes) bytes += std::to_string(c) + ",";
+    bytes += "\n";
+  }
+  uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  char hex[24];
+  std::snprintf(hex, sizeof(hex), "0x%016llx",
+                static_cast<unsigned long long>(h));
+  return hex;
+}
+
+// Pins the mmap Discretize bytes themselves (the test above only compares
+// them with DiscretizedTable::Build). Recorded once; never edited.
+TEST(DbxcFormatTest, MmapDiscretizeGolden) {
+  DiscretizerOptions depth4;
+  depth4.max_numeric_bins = 4;
+  DiscretizerOptions width;
+  width.strategy = BinStrategy::kEquiWidth;
+  struct Case {
+    const char* name;
+    Table table;
+    DiscretizerOptions options;
+    const char* expected;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"sample", MakeSample(), depth4, "0x85a55e955ef82c4d"});
+  cases.push_back({"cars_default", GenerateUsedCars(4000, 7),
+                   DiscretizerOptions{}, "0x9f6498bca303ef7f"});
+  cases.push_back({"cars_equi_width", GenerateUsedCars(4000, 7), width,
+                   "0xbe670e5d6679d0bb"});
+  for (const Case& c : cases) {
+    auto file = DbxcTableFile::FromBytes(DbxcSerialize(c.table));
+    ASSERT_TRUE(file.ok()) << c.name;
+    auto dt = file->Discretize(c.options);
+    ASSERT_TRUE(dt.ok()) << c.name << ": " << dt.status().ToString();
+    EXPECT_EQ(DiscretizedHash(*dt), c.expected) << c.name;
   }
 }
 
