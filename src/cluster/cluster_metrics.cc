@@ -9,17 +9,26 @@ namespace dbx {
 double SimplifiedSilhouette(const EncodedMatrix& points,
                             const KMeansResult& result) {
   if (result.k_effective < 2 || points.num_points == 0) return 0.0;
+  // Distance of each distinct point to every centroid, computed once; the
+  // per-row terms still follow each row's own assignment and add in row
+  // order.
+  const size_t k = result.k_effective;
+  std::vector<double> dist(points.num_distinct * k);
+  for (size_t p = 0; p < points.num_distinct; ++p) {
+    for (size_t c = 0; c < k; ++c) {
+      dist[p * k + c] = std::sqrt(SquaredDistance(
+          points.distinct(p), result.centroid(c), points.dims));
+    }
+  }
   double total = 0.0;
   for (size_t i = 0; i < points.num_points; ++i) {
     size_t own = static_cast<size_t>(result.assignments[i]);
-    double a = std::sqrt(SquaredDistance(points.point(i),
-                                         result.centroid(own), points.dims));
+    const double* row = dist.data() + size_t{points.point_of[i]} * k;
+    double a = row[own];
     double b = std::numeric_limits<double>::infinity();
-    for (size_t c = 0; c < result.k_effective; ++c) {
+    for (size_t c = 0; c < k; ++c) {
       if (c == own) continue;
-      double d = std::sqrt(SquaredDistance(points.point(i), result.centroid(c),
-                                           points.dims));
-      b = std::min(b, d);
+      b = std::min(b, row[c]);
     }
     double denom = std::max(a, b);
     total += denom > 0.0 ? (b - a) / denom : 0.0;
@@ -40,11 +49,19 @@ double CentroidDispersion(const KMeansResult& result) {
 
 std::vector<double> PerClusterInertia(const EncodedMatrix& points,
                                       const KMeansResult& result) {
-  std::vector<double> inertia(result.k_effective, 0.0);
+  const size_t k = result.k_effective;
+  std::vector<double> inertia(k, 0.0);
+  // Squared distance per (distinct point, cluster), computed on first use;
+  // -1 marks one not computed yet.
+  std::vector<double> dist(points.num_distinct * k, -1.0);
   for (size_t i = 0; i < points.num_points; ++i) {
     size_t c = static_cast<size_t>(result.assignments[i]);
-    inertia[c] +=
-        SquaredDistance(points.point(i), result.centroid(c), points.dims);
+    size_t p = points.point_of[i];
+    double& d = dist[p * k + c];
+    if (d < 0.0) {
+      d = SquaredDistance(points.distinct(p), result.centroid(c), points.dims);
+    }
+    inertia[c] += d;
   }
   return inertia;
 }

@@ -29,23 +29,34 @@ std::vector<size_t> KMeansResult::ClusterSizes() const {
 
 namespace {
 
+// Rows per partial sum of the inertia. A constant, NOT derived from
+// num_threads, so the floating-point summation order — and therefore every
+// output — is the same for any thread count.
+constexpr size_t kRowChunk = 1024;
+// Distinct points per assignment task. Each task writes only its own points'
+// slots, so the chunking does not affect the result.
+constexpr size_t kPointChunk = 256;
+
 // k-means++ seeding: first centroid uniform, subsequent ones proportional to
-// squared distance from the nearest chosen centroid.
+// squared distance from the nearest chosen centroid. Seeds are row indices;
+// each distance is computed once per distinct point, and the sampling total
+// and cumulative pick add it once per row, in row order.
 std::vector<size_t> KMeansPlusPlusSeeds(const EncodedMatrix& pts, size_t k,
                                         Rng* rng) {
   std::vector<size_t> seeds;
   seeds.reserve(k);
   size_t n = pts.num_points;
   seeds.push_back(static_cast<size_t>(rng->NextBounded(n)));
-  std::vector<double> d2(n, std::numeric_limits<double>::infinity());
+  std::vector<double> d2(pts.num_distinct,
+                         std::numeric_limits<double>::infinity());
   for (size_t s = 1; s < k; ++s) {
     const double* last = pts.point(seeds.back());
-    double total = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      double d = SquaredDistance(pts.point(i), last, pts.dims);
-      if (d < d2[i]) d2[i] = d;
-      total += d2[i];
+    for (size_t p = 0; p < pts.num_distinct; ++p) {
+      double d = SquaredDistance(pts.distinct(p), last, pts.dims);
+      if (d < d2[p]) d2[p] = d;
     }
+    double total = 0.0;
+    for (uint32_t p : pts.point_of) total += d2[p];
     if (total <= 0.0) {
       // All remaining points coincide with a centroid; fall back to uniform.
       seeds.push_back(static_cast<size_t>(rng->NextBounded(n)));
@@ -55,7 +66,7 @@ std::vector<size_t> KMeansPlusPlusSeeds(const EncodedMatrix& pts, size_t k,
     double acc = 0.0;
     size_t chosen = n - 1;
     for (size_t i = 0; i < n; ++i) {
-      acc += d2[i];
+      acc += d2[pts.point_of[i]];
       if (target < acc) {
         chosen = i;
         break;
@@ -75,9 +86,11 @@ Result<KMeansResult> RunKMeans(const EncodedMatrix& points,
   if (options.k == 0) return Status::InvalidArgument("k must be >= 1");
   size_t k = std::min(options.k, n);
   size_t dims = points.dims;
+  size_t m = points.num_distinct;
 
   ScopedSpan span(options.tracer, "kmeans", options.trace_parent);
   span.AddArg("points", static_cast<uint64_t>(n));
+  span.AddArg("distinct", static_cast<uint64_t>(m));
   span.AddArg("k", static_cast<uint64_t>(k));
   span.AddArg("dims", static_cast<uint64_t>(dims));
   Stopwatch timer;
@@ -86,7 +99,6 @@ Result<KMeansResult> RunKMeans(const EncodedMatrix& points,
   KMeansResult res;
   res.k_effective = k;
   res.dims = dims;
-  res.assignments.assign(n, -1);
   res.centroids.assign(k * dims, 0.0);
 
   std::vector<size_t> seeds = KMeansPlusPlusSeeds(points, k, &rng);
@@ -95,75 +107,78 @@ Result<KMeansResult> RunKMeans(const EncodedMatrix& points,
     std::copy(src, src + dims, res.centroids.data() + c * dims);
   }
 
-  // The assignment step accumulates into per-chunk slots and reduces them in
-  // chunk order. The chunk size is a constant — NOT derived from num_threads
-  // — so the floating-point summation order, and therefore every centroid
-  // and assignment, is byte-identical for any thread count.
-  constexpr size_t kAssignGrain = 1024;
-  const size_t num_chunks = (n + kAssignGrain - 1) / kAssignGrain;
-  std::vector<double> chunk_inertia(num_chunks);
-  std::vector<double> chunk_sums(num_chunks * k * dims);
-  std::vector<size_t> chunk_counts(num_chunks * k);
-
+  // Nearest centroid of each distinct point and its squared distance. Both
+  // depend only on the point, so all rows of a tuple share them.
+  std::vector<int32_t> nearest(m, -1);
+  std::vector<double> nearest_d2(m);
   std::vector<double> sums(k * dims);
   std::vector<size_t> counts(k);
   double prev_inertia = std::numeric_limits<double>::infinity();
 
   for (size_t iter = 0; iter < options.max_iterations; ++iter) {
     res.iterations = iter + 1;
-    // Assignment step: one task per row chunk, writing only its own slots.
-    std::fill(chunk_inertia.begin(), chunk_inertia.end(), 0.0);
-    std::fill(chunk_sums.begin(), chunk_sums.end(), 0.0);
-    std::fill(chunk_counts.begin(), chunk_counts.end(), 0u);
+    // Assignment step: one task per chunk of distinct points. Ties go to the
+    // lowest centroid index (strict < in centroid order).
     Status st = ParallelFor(
-        options.num_threads, 0, num_chunks, 1, [&](size_t chunk) -> Status {
-          size_t lo = chunk * kAssignGrain;
-          size_t hi = std::min(n, lo + kAssignGrain);
-          double* my_sums = chunk_sums.data() + chunk * k * dims;
-          size_t* my_counts = chunk_counts.data() + chunk * k;
-          double local_inertia = 0.0;
-          for (size_t i = lo; i < hi; ++i) {
-            const double* p = points.point(i);
+        options.num_threads, 0, (m + kPointChunk - 1) / kPointChunk, 1,
+        [&](size_t chunk) -> Status {
+          size_t hi = std::min(m, (chunk + 1) * kPointChunk);
+          for (size_t p = chunk * kPointChunk; p < hi; ++p) {
+            const double* x = points.distinct(p);
             double best = std::numeric_limits<double>::infinity();
             int32_t best_c = 0;
             for (size_t c = 0; c < k; ++c) {
-              double d = SquaredDistance(p, res.centroid(c), dims);
+              double d = SquaredDistance(x, res.centroid(c), dims);
               if (d < best) {
                 best = d;
                 best_c = static_cast<int32_t>(c);
               }
             }
-            res.assignments[i] = best_c;
-            local_inertia += best;
-            double* s = my_sums + static_cast<size_t>(best_c) * dims;
-            for (size_t d = 0; d < dims; ++d) s[d] += p[d];
-            ++my_counts[static_cast<size_t>(best_c)];
+            nearest[p] = best_c;
+            nearest_d2[p] = best;
           }
-          chunk_inertia[chunk] = local_inertia;
           return Status::OK();
         });
     if (!st.ok()) return st;
 
-    // Fixed-order reduction of the per-chunk partials.
+    // Inertia adds one term per row: in row order within each row chunk,
+    // then the chunk totals in chunk order.
     double inertia = 0.0;
-    std::fill(sums.begin(), sums.end(), 0.0);
-    std::fill(counts.begin(), counts.end(), 0u);
-    for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      inertia += chunk_inertia[chunk];
-      const double* cs = chunk_sums.data() + chunk * k * dims;
-      const size_t* cc = chunk_counts.data() + chunk * k;
-      for (size_t j = 0; j < k * dims; ++j) sums[j] += cs[j];
-      for (size_t c = 0; c < k; ++c) counts[c] += cc[c];
+    for (size_t lo = 0; lo < n; lo += kRowChunk) {
+      double chunk_inertia = 0.0;
+      size_t hi = std::min(n, lo + kRowChunk);
+      for (size_t i = lo; i < hi; ++i) {
+        chunk_inertia += nearest_d2[points.point_of[i]];
+      }
+      inertia += chunk_inertia;
     }
     res.inertia = inertia;
+
+    // Centroid sums are integer counts (coordinates are 0 or 1), so adding
+    // weight * x once per distinct point is exact in any order.
+    std::fill(sums.begin(), sums.end(), 0.0);
+    std::fill(counts.begin(), counts.end(), 0u);
+    for (size_t p = 0; p < m; ++p) {
+      size_t c = static_cast<size_t>(nearest[p]);
+      counts[c] += points.weight[p];
+      const double w = static_cast<double>(points.weight[p]);
+      const double* x = points.distinct(p);
+      double* s = sums.data() + c * dims;
+      for (size_t d = 0; d < dims; ++d) s[d] += w * x[d];
+    }
     for (size_t c = 0; c < k; ++c) {
       if (counts[c] == 0) {
-        // Re-seed an empty cluster at the point farthest from its centroid.
+        // Re-seed an empty cluster at the first row farthest from its
+        // centroid, as updated so far in this pass.
+        std::vector<double> dist(m);
+        for (size_t p = 0; p < m; ++p) {
+          size_t own = static_cast<size_t>(nearest[p]);
+          dist[p] = SquaredDistance(points.distinct(p), res.centroid(own), dims);
+        }
         size_t far_i = 0;
         double far_d = -1.0;
         for (size_t i = 0; i < n; ++i) {
-          size_t ci = static_cast<size_t>(res.assignments[i]);
-          double d = SquaredDistance(points.point(i), res.centroid(ci), dims);
+          double d = dist[points.point_of[i]];
           if (d > far_d) {
             far_d = d;
             far_i = i;
@@ -183,6 +198,10 @@ Result<KMeansResult> RunKMeans(const EncodedMatrix& points,
       break;
     }
     prev_inertia = inertia;
+  }
+  res.assignments.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    res.assignments[i] = nearest[points.point_of[i]];
   }
   span.AddArg("iterations", static_cast<uint64_t>(res.iterations));
   MetricsRegistry* reg = MetricsRegistry::Global();

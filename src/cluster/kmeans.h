@@ -19,11 +19,15 @@ struct KMeansOptions {
   size_t k = 8;
   size_t max_iterations = 50;
   /// Relative inertia improvement below which iteration stops early.
+  /// Known defect: the first pass compares against prev_inertia = +inf, and
+  /// inf - x <= tolerance * inf holds for any tolerance > 0, so every run
+  /// stops after seeding plus one assignment step (ROADMAP item 5).
   double tolerance = 1e-4;
   uint64_t seed = 42;
-  /// Parallelism of the assignment step (1 = serial). Assignments, partial
-  /// sums, and inertia accumulate per fixed-size row chunk and reduce in
-  /// chunk order, so the result is byte-identical for any thread count.
+  /// Parallelism of the assignment step (1 = serial). Each task assigns a
+  /// fixed range of distinct points into per-point slots; inertia is summed
+  /// per fixed-size row chunk and reduced in chunk order, so the result is
+  /// byte-identical for any thread count.
   size_t num_threads = 1;
   /// Observability knobs — output-neutral like num_threads, excluded from
   /// the cache fingerprint. Never null; defaults to the no-op tracer.
@@ -49,7 +53,9 @@ struct KMeansResult {
 };
 
 /// Runs k-means over `points`. k is clamped to the number of points; empty
-/// input fails. Deterministic for a fixed seed.
+/// input fails. Deterministic for a fixed seed. Distances are computed once
+/// per distinct point; every order-sensitive sum still runs over the rows in
+/// row order, so the result equals that of clustering each row separately.
 [[nodiscard]] Result<KMeansResult> RunKMeans(const EncodedMatrix& points,
                                const KMeansOptions& options);
 

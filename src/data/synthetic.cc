@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "src/data/used_cars.h"
 #include "src/util/rng.h"
@@ -325,8 +326,9 @@ Result<DiscretizedTable> ScaledUsedCars::Discretize(
       }
     }
     DBX_ASSIGN_OR_RETURN(
-        bins[j], BuildBins(vals, options.discretizer.max_numeric_bins,
-                           options.discretizer.strategy));
+        bins[j],
+        BuildBins(std::move(vals), options.discretizer.max_numeric_bins,
+                  options.discretizer.strategy));
   }
   scans.clear();
 

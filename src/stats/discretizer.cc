@@ -1,6 +1,7 @@
 #include "src/stats/discretizer.h"
 
 #include <cmath>
+#include <utility>
 
 namespace dbx {
 
@@ -39,7 +40,8 @@ Result<DiscreteAttr> DiscretizeColumn(const AttributeDef& def,
   }
   if (vals.empty()) return da;
   DBX_ASSIGN_OR_RETURN(
-      da.bins, BuildBins(vals, options.max_numeric_bins, options.strategy));
+      da.bins,
+      BuildBins(std::move(vals), options.max_numeric_bins, options.strategy));
   da.labels.reserve(da.bins.num_bins());
   for (size_t b = 0; b < da.bins.num_bins(); ++b) {
     da.labels.push_back(da.bins.LabelOf(b));

@@ -49,24 +49,13 @@ std::string Bins::LabelOf(size_t i) const {
 
 namespace {
 
-std::vector<double> CleanSorted(const std::vector<double>& values) {
-  std::vector<double> v;
-  v.reserve(values.size());
-  for (double x : values) {
-    if (!std::isnan(x)) v.push_back(x);
-  }
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
 Bins SingleBin(double lo, double hi) {
   Bins b;
   b.edges = {lo, hi};
   return b;
 }
 
-Bins EquiWidth(const std::vector<double>& sorted, size_t max_bins) {
-  double lo = sorted.front(), hi = sorted.back();
+Bins EquiWidth(double lo, double hi, size_t max_bins) {
   Bins b;
   b.edges.reserve(max_bins + 1);
   for (size_t i = 0; i <= max_bins; ++i) {
@@ -76,17 +65,38 @@ Bins EquiWidth(const std::vector<double>& sorted, size_t max_bins) {
   return b;
 }
 
-Bins EquiDepth(const std::vector<double>& sorted, size_t max_bins) {
+// Puts at each index in `ranks` (ascending, distinct, all in [lo, hi)) the
+// value a full sort of v[lo, hi) would put there: selects the middle rank,
+// then recurses into each side.
+void SelectRanks(std::vector<double>* v, size_t lo, size_t hi,
+                 const size_t* ranks, size_t count) {
+  if (count == 0) return;
+  size_t mid = count / 2;
+  size_t r = ranks[mid];
+  std::nth_element(v->begin() + static_cast<std::ptrdiff_t>(lo),
+                   v->begin() + static_cast<std::ptrdiff_t>(r),
+                   v->begin() + static_cast<std::ptrdiff_t>(hi));
+  SelectRanks(v, lo, r, ranks, mid);
+  SelectRanks(v, r + 1, hi, ranks + mid + 1, count - mid - 1);
+}
+
+// Edges at the minimum, the values of rank i*n/max_bins, and the maximum.
+Bins EquiDepth(std::vector<double>* values, double lo, double hi,
+               size_t max_bins) {
+  size_t n = values->size();
+  auto rank = [&](size_t i) { return std::min(i * n / max_bins, n - 1); };
+  std::vector<size_t> ranks;
+  for (size_t i = 1; i < max_bins; ++i) ranks.push_back(rank(i));
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+  SelectRanks(values, 0, n, ranks.data(), ranks.size());
   Bins b;
-  b.edges.push_back(sorted.front());
-  size_t n = sorted.size();
+  b.edges.push_back(lo);
   for (size_t i = 1; i < max_bins; ++i) {
-    size_t idx = i * n / max_bins;
-    double e = sorted[std::min(idx, n - 1)];
+    double e = (*values)[rank(i)];
     if (e > b.edges.back()) b.edges.push_back(e);
   }
-  if (sorted.back() > b.edges.back()) {
-    b.edges.push_back(sorted.back());
+  if (hi > b.edges.back()) {
+    b.edges.push_back(hi);
   } else {
     // All values equal past some point; widen the last edge slightly so the
     // bin is non-degenerate.
@@ -94,7 +104,7 @@ Bins EquiDepth(const std::vector<double>& sorted, size_t max_bins) {
   }
   // Collapse a fully degenerate result into one bin.
   if (b.edges.size() < 2 || b.edges.front() == b.edges.back()) {
-    return SingleBin(sorted.front(), sorted.back());
+    return SingleBin(lo, hi);
   }
   return b;
 }
@@ -181,22 +191,31 @@ Bins VOptimal(const std::vector<double>& sorted, size_t max_bins) {
 
 }  // namespace
 
-Result<Bins> BuildBins(const std::vector<double>& values, size_t max_bins,
+Result<Bins> BuildBins(std::vector<double>&& values, size_t max_bins,
                        BinStrategy strategy) {
   if (max_bins == 0) return Status::InvalidArgument("max_bins must be >= 1");
-  std::vector<double> sorted = CleanSorted(values);
-  if (sorted.empty()) {
+  values.erase(std::remove_if(values.begin(), values.end(),
+                              [](double x) { return std::isnan(x); }),
+               values.end());
+  if (values.empty()) {
     return Status::InvalidArgument("no non-null values to bin");
   }
-  if (sorted.front() == sorted.back() || max_bins == 1) {
-    return SingleBin(sorted.front(), sorted.back());
-  }
+  auto [min_it, max_it] = std::minmax_element(values.begin(), values.end());
+  const double lo = *min_it, hi = *max_it;
+  if (lo == hi || max_bins == 1) return SingleBin(lo, hi);
   switch (strategy) {
-    case BinStrategy::kEquiWidth: return EquiWidth(sorted, max_bins);
-    case BinStrategy::kEquiDepth: return EquiDepth(sorted, max_bins);
-    case BinStrategy::kVOptimal: return VOptimal(sorted, max_bins);
+    case BinStrategy::kEquiWidth: return EquiWidth(lo, hi, max_bins);
+    case BinStrategy::kEquiDepth: return EquiDepth(&values, lo, hi, max_bins);
+    case BinStrategy::kVOptimal:
+      std::sort(values.begin(), values.end());
+      return VOptimal(values, max_bins);
   }
   return Status::InvalidArgument("unknown bin strategy");
+}
+
+Result<Bins> BuildBins(const std::vector<double>& values, size_t max_bins,
+                       BinStrategy strategy) {
+  return BuildBins(std::vector<double>(values), max_bins, strategy);
 }
 
 }  // namespace dbx

@@ -39,10 +39,17 @@ struct Bins {
 
 /// Builds bins over `values` (NaNs ignored). `max_bins` >= 1. Degenerate
 /// inputs (empty, or all-equal values) yield a single bin.
-/// V-optimal runs an O(n'^2 * b) DP over the distinct sorted values n' — use
+/// Equi-width reads only the minimum and maximum, and equi-depth selects its
+/// max_bins - 1 quantiles in O(n log max_bins) without sorting. V-optimal
+/// sorts, then runs an O(n'^2 * b) DP over the distinct values n' — use
 /// equi-depth when the domain is large and latency matters.
 [[nodiscard]]
 Result<Bins> BuildBins(const std::vector<double>& values, size_t max_bins,
+                       BinStrategy strategy);
+
+/// The same, reordering `values` in place instead of copying it first.
+[[nodiscard]]
+Result<Bins> BuildBins(std::vector<double>&& values, size_t max_bins,
                        BinStrategy strategy);
 
 /// Formats a numeric bound compactly: 20000 -> "20K", 1500000 -> "1.5M",

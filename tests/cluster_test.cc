@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 
 #include "src/cluster/cluster_metrics.h"
 #include "src/cluster/encoder.h"
@@ -65,16 +67,101 @@ TEST(EncoderTest, OneHotRowsSumToAttrCount) {
 }
 
 TEST(EncoderTest, NullsEncodeToZeroBlock) {
-  Schema s = std::move(Schema::Make({{"A", AttrType::kCategorical, true}}))
+  Schema s = std::move(Schema::Make({{"A", AttrType::kCategorical, true},
+                                     {"B", AttrType::kCategorical, true}}))
                  .value();
   Table t(s);
-  ASSERT_TRUE(t.AppendRow({Value("x")}).ok());
-  ASSERT_TRUE(t.AppendRow({Value::Null()}).ok());
+  ASSERT_TRUE(t.AppendRow({Value("x"), Value("p")}).ok());
+  ASSERT_TRUE(t.AppendRow({Value::Null(), Value("q")}).ok());
+  ASSERT_TRUE(t.AppendRow({Value::Null(), Value("q")}).ok());
   DiscretizedTable dt = Discretize(t);
-  auto enc = OneHotEncoder::Plan(dt, {0});
+  auto enc = OneHotEncoder::Plan(dt, {0, 1});
   ASSERT_TRUE(enc.ok());
-  EncodedMatrix m = enc->Encode(dt, {0, 1});
-  EXPECT_DOUBLE_EQ(m.point(1)[0], 0.0);
+  EncodedMatrix m = enc->Encode(dt, {0, 1, 2});
+  EXPECT_DOUBLE_EQ(m.point(1)[0], 0.0);  // A's block (one value) is zero
+  EXPECT_DOUBLE_EQ(m.point(1)[2], 1.0);  // B = q
+  EXPECT_EQ(m.num_distinct, 2u);
+  EXPECT_EQ(m.point_of[1], m.point_of[2]);
+}
+
+TEST(EncoderTest, EqualTuplesShareAPoint) {
+  Table t = TwoGroupTable(3);  // rows alternate (a1, b1), (a2, b2)
+  DiscretizedTable dt = Discretize(t);
+  auto enc = OneHotEncoder::Plan(dt, {0, 1});
+  ASSERT_TRUE(enc.ok());
+  EncodedMatrix m = enc->Encode(dt, {1, 0, 2, 3, 4, 5});
+  EXPECT_EQ(m.num_points, 6u);
+  EXPECT_EQ(m.num_distinct, 2u);
+  // Distinct points are numbered by first appearance: position 0 is row 1.
+  EXPECT_EQ(m.point_of, (std::vector<uint32_t>{0, 1, 1, 0, 1, 0}));
+  EXPECT_EQ(m.weight, (std::vector<size_t>{3, 3}));
+  EXPECT_EQ(m.data.size(), 2 * m.dims);  // one vector per distinct tuple
+  EXPECT_DOUBLE_EQ(m.distinct(0)[1], 1.0);  // a2
+  EXPECT_DOUBLE_EQ(m.distinct(1)[0], 1.0);  // a1
+}
+
+TEST(EncoderTest, WideTuplesDedupExactly) {
+  // 12 attributes of 60 values: 61^12 > 2^64 tuple states, so the dedup key
+  // spans several words. Rows that differ in any single attribute must stay
+  // apart; equal rows must share a point.
+  constexpr size_t kAttrs = 12, kValues = 60;
+  std::vector<AttributeDef> defs;
+  for (size_t a = 0; a < kAttrs; ++a) {
+    defs.push_back({"A" + std::to_string(a), AttrType::kCategorical, true});
+  }
+  Table t(std::move(Schema::Make(defs)).value());
+  auto append = [&](const std::vector<size_t>& tuple) {
+    std::vector<Value> row;
+    for (size_t v : tuple) row.push_back(Value("v" + std::to_string(v)));
+    ASSERT_TRUE(t.AppendRow(row).ok());
+  };
+  for (size_t v = 0; v < kValues; ++v) {
+    append(std::vector<size_t>(kAttrs, v));  // every value in every attribute
+  }
+  Rng rng(8);
+  std::vector<std::vector<size_t>> tuples;
+  for (size_t i = 0; i < 40; ++i) {
+    std::vector<size_t> base(kAttrs);
+    for (size_t& v : base) v = static_cast<size_t>(rng.NextBounded(kValues));
+    tuples.push_back(base);
+    for (size_t a = 0; a < kAttrs; ++a) {  // one-attribute neighbours
+      std::vector<size_t> near = base;
+      near[a] = (near[a] + 1) % kValues;
+      tuples.push_back(near);
+    }
+  }
+  // Their keys (digit code + 1, radix 61) agree modulo 2^64, so a key
+  // wrapped into one word would merge these two tuples.
+  tuples.push_back({0, 14, 16, 0, 0, 8, 0, 0, 0, 0, 12, 0});
+  tuples.push_back({1, 0, 0, 9, 9, 0, 5, 0, 14, 6, 0, 18});
+  for (size_t rep = 0; rep < 3; ++rep) {
+    for (const auto& tuple : tuples) append(tuple);
+  }
+  DiscretizedTable dt = Discretize(t);
+  std::vector<size_t> attrs(kAttrs);
+  for (size_t a = 0; a < kAttrs; ++a) attrs[a] = a;
+  auto enc = OneHotEncoder::Plan(dt, attrs);
+  ASSERT_TRUE(enc.ok());
+  EXPECT_EQ(enc->dims(), kAttrs * kValues);
+  EncodedMatrix m = enc->Encode(dt, AllPositions(dt));
+
+  std::map<std::vector<int32_t>, uint32_t> first_point;
+  for (size_t i = 0; i < m.num_points; ++i) {
+    std::vector<int32_t> codes;
+    for (size_t a : attrs) codes.push_back(dt.attr(a).codes[i]);
+    auto [it, fresh] = first_point.emplace(codes, m.point_of[i]);
+    EXPECT_EQ(m.point_of[i], it->second) << "row " << i;
+    if (fresh) {
+      EXPECT_EQ(m.point_of[i], first_point.size() - 1) << "row " << i;
+    }
+    for (size_t a = 0; a < kAttrs; ++a) {  // the vector is the row's one-hot
+      for (size_t v = 0; v < kValues; ++v) {
+        EXPECT_EQ(m.point(i)[enc->BlockOffset(a) + v],
+                  codes[a] == static_cast<int32_t>(v) ? 1.0 : 0.0);
+      }
+    }
+  }
+  EXPECT_EQ(m.num_distinct, first_point.size());
 }
 
 TEST(EncoderTest, SkipsAllNullAttrsAndFailsWhenNothingLeft) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "src/stats/histogram.h"
 #include "src/util/rng.h"
@@ -127,6 +129,92 @@ TEST(BuildBinsTest, ErrorsAndDegenerateInputs) {
   ASSERT_TRUE(constant.ok());
   EXPECT_EQ(constant->num_bins(), 1u);
   EXPECT_EQ(constant->BinOf(5.0), 0);
+}
+
+// Sort-based reference for the equi-width and equi-depth edges: sort every
+// non-NaN value, then read the minimum, maximum and ranks i*n/max_bins.
+std::vector<double> SortedReferenceEdges(const std::vector<double>& values,
+                                         size_t max_bins,
+                                         BinStrategy strategy) {
+  std::vector<double> v;
+  for (double x : values) {
+    if (!std::isnan(x)) v.push_back(x);
+  }
+  std::sort(v.begin(), v.end());
+  if (v.front() == v.back() || max_bins == 1) return {v.front(), v.back()};
+  std::vector<double> edges;
+  if (strategy == BinStrategy::kEquiWidth) {
+    for (size_t i = 0; i <= max_bins; ++i) {
+      edges.push_back(v.front() + (v.back() - v.front()) *
+                                      static_cast<double>(i) /
+                                      static_cast<double>(max_bins));
+    }
+    return edges;
+  }
+  size_t n = v.size();
+  edges.push_back(v.front());
+  for (size_t i = 1; i < max_bins; ++i) {
+    double e = v[std::min(i * n / max_bins, n - 1)];
+    if (e > edges.back()) edges.push_back(e);
+  }
+  edges.push_back(v.back() > edges.back() ? v.back() : edges.back());
+  if (edges.front() == edges.back()) return {v.front(), v.back()};
+  return edges;
+}
+
+uint64_t Bits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+TEST(BuildBinsTest, SelectedEdgesMatchSortedReferenceBitForBit) {
+  // Signed zeros are left out: std::sort leaves the order of -0.0 and +0.0
+  // unspecified, so neither path pins which one becomes an edge.
+  Rng rng(23);
+  for (size_t n : {1u, 2u, 3u, 5u, 7u, 8u, 9u, 16u, 100u, 1000u}) {
+    for (int shape = 0; shape < 4; ++shape) {
+      for (int trial = 0; trial < 5; ++trial) {
+        std::vector<double> v;
+        for (size_t i = 0; i < n; ++i) {
+          switch (shape) {
+            case 0: v.push_back(rng.NextUniform(-1e3, 1e3)); break;
+            case 1:  // heavy duplicates, negative values
+              v.push_back(static_cast<double>(rng.NextBounded(5)) - 3.5);
+              break;
+            case 2: v.push_back(-42.25); break;  // all values equal
+            default:  // NaNs among skewed values
+              v.push_back(rng.NextBounded(4) == 0
+                              ? std::nan("")
+                              : std::exp(rng.NextUniform(-5.0, 5.0)));
+          }
+        }
+        if (shape == 3) v.push_back(0.5);  // at least one non-NaN value
+        for (BinStrategy strategy :
+             {BinStrategy::kEquiWidth, BinStrategy::kEquiDepth}) {
+          for (size_t max_bins : {1u, 2u, 3u, 5u, 8u, 16u}) {
+            std::vector<double> want =
+                SortedReferenceEdges(v, max_bins, strategy);
+            auto by_ref = BuildBins(v, max_bins, strategy);
+            auto by_move = BuildBins(std::vector<double>(v), max_bins, strategy);
+            ASSERT_TRUE(by_ref.ok());
+            ASSERT_TRUE(by_move.ok());
+            for (const Bins* got : {&*by_ref, &*by_move}) {
+              ASSERT_EQ(got->edges.size(), want.size())
+                  << BinStrategyName(strategy) << " n=" << n
+                  << " shape=" << shape << " max_bins=" << max_bins;
+              for (size_t e = 0; e < want.size(); ++e) {
+                EXPECT_EQ(Bits(got->edges[e]), Bits(want[e]))
+                    << BinStrategyName(strategy) << " n=" << n
+                    << " shape=" << shape << " max_bins=" << max_bins
+                    << " edge " << e;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // Shared invariants, parameterized over (strategy, max_bins).
