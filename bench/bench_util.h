@@ -62,13 +62,19 @@ inline Args ParseArgs(int argc, char** argv) {
   return args;
 }
 
-/// Records per-iteration latencies into a registry histogram so benches
-/// report the p50/p95 of repeated steps, not just a single total.
+/// The registry a bench binary records its latencies into; one per process.
+inline MetricsRegistry* BenchRegistry() {
+  static MetricsRegistry registry;
+  return &registry;
+}
+
+/// Records per-iteration latencies into a BenchRegistry() histogram so
+/// benches report the p50/p95 of repeated steps, not just a single total.
 class LatencyRecorder {
  public:
   /// `name` should follow the metric scheme, e.g. "dbx_bench_view_step_ms".
   explicit LatencyRecorder(const std::string& name)
-      : name_(name), hist_(MetricsRegistry::Global()->GetHistogram(name)) {}
+      : name_(name), hist_(BenchRegistry()->GetHistogram(name)) {}
 
   void ObserveMs(double ms) { hist_->Observe(ms); }
   void ObserveNs(uint64_t ns) { hist_->ObserveNs(ns); }

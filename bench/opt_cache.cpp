@@ -166,22 +166,23 @@ DatasetOutcome RunDataset(const char* label, const Table& table,
 
   ReplayResult uncached =
       Replay(table, spec, nullptr, tracer, "uncached", &uncached_lat);
-  // Regression guard: the process-wide cache-hit counter must advance by
-  // exactly what this cache instance's own stats report for the replay pair.
-  Counter* hit_counter =
-      MetricsRegistry::Global()->GetCounter("dbx_cache_hits_total");
-  const uint64_t hits_before = hit_counter->Value();
-  auto cache = std::make_shared<ViewCache>();
+  // Regression guard: the cache-hit series in the registry the cache was
+  // given must count exactly the hits its own stats report for the replay
+  // pair.
+  MetricsRegistry cache_metrics;
+  auto cache = std::make_shared<ViewCache>(ViewCache::kDefaultByteBudget,
+                                           &cache_metrics);
   ReplayResult cold = Replay(table, spec, cache, tracer, "cold", &cold_lat);
   ViewCacheStats cold_stats = cache->stats();
   ReplayResult warm = Replay(table, spec, cache, tracer, "warm", &warm_lat);
   ViewCacheStats warm_stats = cache->stats();
-  const uint64_t hit_delta = hit_counter->Value() - hits_before;
-  if (hit_delta != warm_stats.hits) {
+  const uint64_t hit_count =
+      cache_metrics.GetCounter("dbx_cache_hits_total")->Value();
+  if (hit_count != warm_stats.hits) {
     std::fprintf(stderr,
-                 "  METRICS MISMATCH: dbx_cache_hits_total advanced by %llu "
+                 "  METRICS MISMATCH: dbx_cache_hits_total reads %llu "
                  "but the cache reports %llu hits\n",
-                 static_cast<unsigned long long>(hit_delta),
+                 static_cast<unsigned long long>(hit_count),
                  static_cast<unsigned long long>(warm_stats.hits));
     out.metrics_ok = false;
   }

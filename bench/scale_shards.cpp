@@ -150,8 +150,8 @@ bool RunSmoke(size_t reps, std::vector<ConfigResult>* configs,
     }
     cfg.rows_per_sec = kRows / (cfg.best_ms / 1000.0);
     Histogram* h =
-        MetricsRegistry::Global()->GetHistogram("dbx_bench_scale_build_s" +
-                                                std::to_string(shards) + "_ms");
+        bench::BenchRegistry()->GetHistogram("dbx_bench_scale_build_s" +
+                                             std::to_string(shards) + "_ms");
     cfg.p50_ms = h->Quantile(0.5);
     cfg.p95_ms = h->Quantile(0.95);
     configs->push_back(cfg);
@@ -229,7 +229,7 @@ bool RunFull(size_t rows, size_t reps, std::vector<ConfigResult>* configs,
       }
     }
     cfg.rows_per_sec = rows / (cfg.best_ms / 1000.0);
-    Histogram* h = MetricsRegistry::Global()->GetHistogram(
+    Histogram* h = bench::BenchRegistry()->GetHistogram(
         "dbx_bench_scale_pipeline_s" + std::to_string(shards) + "_ms");
     cfg.p50_ms = h->Quantile(0.5);
     cfg.p95_ms = h->Quantile(0.95);

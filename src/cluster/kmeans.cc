@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "src/obs/metrics.h"
-#include "src/util/stopwatch.h"
 #include "src/util/thread_pool.h"
 
 namespace dbx {
@@ -93,7 +91,6 @@ Result<KMeansResult> RunKMeans(const EncodedMatrix& points,
   span.AddArg("distinct", static_cast<uint64_t>(m));
   span.AddArg("k", static_cast<uint64_t>(k));
   span.AddArg("dims", static_cast<uint64_t>(dims));
-  Stopwatch timer;
 
   Rng rng(options.seed);
   KMeansResult res;
@@ -204,11 +201,6 @@ Result<KMeansResult> RunKMeans(const EncodedMatrix& points,
     res.assignments[i] = nearest[points.point_of[i]];
   }
   span.AddArg("iterations", static_cast<uint64_t>(res.iterations));
-  MetricsRegistry* reg = MetricsRegistry::Global();
-  reg->GetCounter("dbx_cluster_kmeans_runs_total")->Increment();
-  reg->GetCounter("dbx_cluster_kmeans_iterations_total")
-      ->Increment(res.iterations);
-  reg->GetHistogram("dbx_cluster_kmeans_ms")->ObserveNs(timer.ElapsedNanos());
   return res;
 }
 

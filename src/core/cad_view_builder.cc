@@ -6,7 +6,6 @@
 #include "src/cluster/cluster_metrics.h"
 #include "src/cluster/coreset.h"
 #include "src/cluster/kmeans.h"
-#include "src/obs/metrics.h"
 #include "src/core/iunit_similarity.h"
 #include "src/core/sharded.h"
 #include "src/stats/sampling.h"
@@ -455,12 +454,6 @@ Result<CadView> BuildCadViewFromDiscretized(const DiscretizedTable& dt,
   topk_span.End();
   view.timings.topk_ms = sw.ElapsedMillis();
   view.timings.total_ms = total.ElapsedMillis();
-  MetricsRegistry* reg = MetricsRegistry::Global();
-  reg->GetCounter("dbx_core_builds_total")->Increment();
-  reg->GetCounter("dbx_core_build_rows_total")
-      ->Increment(dt.num_rows());
-  reg->GetHistogram("dbx_core_build_ms")
-      ->Observe(view.timings.total_ms);
 
   if (extras != nullptr) {
     extras->partitions.members_by_code.clear();

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <queue>
 
-#include "src/obs/metrics.h"
-#include "src/util/stopwatch.h"
 
 namespace dbx {
 namespace {
@@ -151,9 +149,6 @@ Result<std::vector<size_t>> DiversifiedTopK(const std::vector<double>& scores,
   }
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
 
-  // Spans live at the builder level (one per pivot value row); here only the
-  // process-wide counters, so ad-hoc callers are also counted.
-  Stopwatch timer;
   std::vector<size_t> chosen;
   switch (algorithm) {
     case DivTopKAlgorithm::kNoDiversity: {
@@ -177,11 +172,6 @@ Result<std::vector<size_t>> DiversifiedTopK(const std::vector<double>& scores,
     if (scores[a] != scores[b]) return scores[a] > scores[b];
     return a < b;
   });
-  MetricsRegistry* reg = MetricsRegistry::Global();
-  reg->GetCounter("dbx_core_div_topk_runs_total")->Increment();
-  reg->GetCounter("dbx_core_div_topk_candidates_total")
-      ->Increment(scores.size());
-  reg->GetHistogram("dbx_core_div_topk_ms")->ObserveNs(timer.ElapsedNanos());
   return chosen;
 }
 

@@ -6,42 +6,20 @@
 #include <iterator>
 
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/util/string_util.h"
 
 namespace dbx {
 namespace {
 
-// Process-wide cache metrics (DESIGN.md §10). Every ViewCache instance feeds
-// the same series; per-instance numbers stay available via stats()/Snapshot().
-struct CacheMetrics {
-  Counter* hits;
-  Counter* misses;
-  Counter* inserts;
-  Counter* evictions;
-  Counter* invalidations;
-  Counter* refinement_seeds;
-  Counter* oversize_rejects;
-  Gauge* bytes_in_use;
-  Gauge* entries;
+// Null instruments (a cache given no registry) skip their updates.
+void Bump(Counter* counter, uint64_t n = 1) {
+  if (counter != nullptr) counter->Increment(n);
+}
 
-  static CacheMetrics& Get() {
-    static CacheMetrics* m = [] {
-      MetricsRegistry* r = MetricsRegistry::Global();
-      auto* cm = new CacheMetrics();
-      cm->hits = r->GetCounter("dbx_cache_hits_total");
-      cm->misses = r->GetCounter("dbx_cache_misses_total");
-      cm->inserts = r->GetCounter("dbx_cache_inserts_total");
-      cm->evictions = r->GetCounter("dbx_cache_evictions_total");
-      cm->invalidations = r->GetCounter("dbx_cache_invalidations_total");
-      cm->refinement_seeds = r->GetCounter("dbx_cache_refinement_seeds_total");
-      cm->oversize_rejects = r->GetCounter("dbx_cache_oversize_rejects_total");
-      cm->bytes_in_use = r->GetGauge("dbx_cache_bytes_in_use");
-      cm->entries = r->GetGauge("dbx_cache_entries");
-      return cm;
-    }();
-    return *m;
-  }
-};
+void Shift(Gauge* gauge, int64_t delta) {
+  if (gauge != nullptr) gauge->Add(delta);
+}
 
 // Length-prefixed component framing: "tag|len:payload;". Delimiters inside
 // payloads cannot collide with component boundaries because the length is
@@ -179,7 +157,21 @@ std::optional<std::string> CadViewOptionsFingerprint(
   return fp;
 }
 
-ViewCache::ViewCache(size_t byte_budget) : byte_budget_(byte_budget) {
+ViewCache::Instruments::Instruments(MetricsRegistry* registry) {
+  if (registry == nullptr) return;
+  hits = registry->GetCounter("dbx_cache_hits_total");
+  misses = registry->GetCounter("dbx_cache_misses_total");
+  inserts = registry->GetCounter("dbx_cache_inserts_total");
+  evictions = registry->GetCounter("dbx_cache_evictions_total");
+  invalidations = registry->GetCounter("dbx_cache_invalidations_total");
+  refinement_seeds = registry->GetCounter("dbx_cache_refinement_seeds_total");
+  oversize_rejects = registry->GetCounter("dbx_cache_oversize_rejects_total");
+  bytes_in_use = registry->GetGauge("dbx_cache_bytes_in_use");
+  entries = registry->GetGauge("dbx_cache_entries");
+}
+
+ViewCache::ViewCache(size_t byte_budget, MetricsRegistry* metrics)
+    : byte_budget_(byte_budget), metrics_(metrics) {
   stats_.byte_budget = byte_budget;
 }
 
@@ -189,12 +181,12 @@ std::shared_ptr<const CachedCadView> ViewCache::Lookup(
   auto it = entries_.find(key.canonical);
   if (it == entries_.end()) {
     ++stats_.misses;
-    CacheMetrics::Get().misses->Increment();
+    Bump(metrics_.misses);
     return nullptr;
   }
   ++stats_.hits;
   stats_.hit_saved_ms += it->second.value->build_cost_ms;
-  CacheMetrics::Get().hits->Increment();
+  Bump(metrics_.hits);
   ++it->second.hits;
   lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
   return it->second.value;
@@ -219,7 +211,7 @@ void ViewCache::Insert(const ViewCacheKey& key, CadView view,
     // `inserts` must track the store (inserts - evictions - invalidations ==
     // entries) or it drifts under eviction pressure.
     ++stats_.oversize_rejects;
-    CacheMetrics::Get().oversize_rejects->Increment();
+    Bump(metrics_.oversize_rejects);
     return;
   }
   if (entries_.find(key.canonical) != entries_.end()) {
@@ -250,12 +242,12 @@ void ViewCache::Insert(const ViewCacheKey& key, CadView view,
   e.owner = owner;
   if (!owner.empty()) owners_[owner].bytes += e.value->bytes;
   stats_.bytes_in_use += e.value->bytes;
-  CacheMetrics::Get().bytes_in_use->Add(static_cast<int64_t>(e.value->bytes));
+  Shift(metrics_.bytes_in_use, static_cast<int64_t>(e.value->bytes));
   entries_.emplace(key.canonical, std::move(e));
   stats_.entries = entries_.size();
   ++stats_.inserts;
-  CacheMetrics::Get().inserts->Increment();
-  CacheMetrics::Get().entries->Add(1);
+  Bump(metrics_.inserts);
+  Shift(metrics_.entries, 1);
 }
 
 std::shared_ptr<const CachedCadView> ViewCache::FindRefinementBase(
@@ -287,7 +279,7 @@ std::shared_ptr<const CachedCadView> ViewCache::FindRefinementBase(
   }
   if (best == nullptr) return nullptr;
   ++stats_.refinement_seeds;
-  CacheMetrics::Get().refinement_seeds->Increment();
+  Bump(metrics_.refinement_seeds);
   return best->value;
 }
 
@@ -326,10 +318,10 @@ void ViewCache::InvalidateDataset(const std::string& dataset) {
       ReleaseOwnerBytesLocked(it->second.owner, it->second.value->bytes);
       stats_.bytes_in_use -= it->second.value->bytes;
       ++stats_.invalidations;
-      CacheMetrics::Get().invalidations->Increment();
-      CacheMetrics::Get().bytes_in_use->Add(
-          -static_cast<int64_t>(it->second.value->bytes));
-      CacheMetrics::Get().entries->Add(-1);
+      Bump(metrics_.invalidations);
+      Shift(metrics_.bytes_in_use,
+            -static_cast<int64_t>(it->second.value->bytes));
+      Shift(metrics_.entries, -1);
       lru_.erase(it->second.lru_pos);
       it = entries_.erase(it);
     } else {
@@ -342,10 +334,9 @@ void ViewCache::InvalidateDataset(const std::string& dataset) {
 void ViewCache::Clear() {
   MutexLock lock(mu_);
   stats_.invalidations += entries_.size();
-  CacheMetrics::Get().invalidations->Increment(entries_.size());
-  CacheMetrics::Get().bytes_in_use->Add(
-      -static_cast<int64_t>(stats_.bytes_in_use));
-  CacheMetrics::Get().entries->Add(-static_cast<int64_t>(entries_.size()));
+  Bump(metrics_.invalidations, entries_.size());
+  Shift(metrics_.bytes_in_use, -static_cast<int64_t>(stats_.bytes_in_use));
+  Shift(metrics_.entries, -static_cast<int64_t>(entries_.size()));
   entries_.clear();
   lru_.clear();
   for (auto it = owners_.begin(); it != owners_.end();) {
@@ -397,14 +388,53 @@ void ViewCache::EvictLruLocked() {
     ReleaseOwnerBytesLocked(it->second.owner, it->second.value->bytes);
     stats_.bytes_in_use -= it->second.value->bytes;
     ++stats_.evictions;
-    CacheMetrics::Get().evictions->Increment();
-    CacheMetrics::Get().bytes_in_use->Add(
-        -static_cast<int64_t>(it->second.value->bytes));
-    CacheMetrics::Get().entries->Add(-1);
+    Bump(metrics_.evictions);
+    Shift(metrics_.bytes_in_use,
+          -static_cast<int64_t>(it->second.value->bytes));
+    Shift(metrics_.entries, -1);
     entries_.erase(it);
   }
   lru_.pop_back();
   stats_.entries = entries_.size();
+}
+
+Result<CachedBuild> GetOrBuildCadView(ViewCache* cache,
+                                      const CadViewOptions& options,
+                                      const CacheKeyFn& make_key,
+                                      const CadViewBuildFn& build,
+                                      const std::string& owner) {
+  CachedBuild out;
+  std::optional<ViewCacheKey> key;
+  {
+    ScopedSpan probe_span(options.tracer, "cache_probe", options.trace_parent);
+    if (cache != nullptr) {
+      out.probe = "uncacheable";
+      if (auto fp = CadViewOptionsFingerprint(options)) {
+        key = make_key(*fp);
+        out.probe = "miss";
+        if (auto hit = cache->Lookup(*key)) {
+          probe_span.AddArg("result", "hit");
+          probe_span.AddArg("saved_build_ms",
+                            FormatDouble(hit->build_cost_ms, 3));
+          probe_span.End();
+          out.view = hit->view;
+          out.probe = "hit";
+          return out;
+        }
+      }
+    }
+    probe_span.AddArg("result", out.probe);
+  }
+
+  CachedPartitions partitions;
+  auto view = build(key ? &*key : nullptr, key ? &partitions : nullptr);
+  if (!view.ok()) return view.status();
+  if (key) {
+    cache->Insert(*key, *view, std::move(partitions), view->timings.total_ms,
+                  owner);
+  }
+  out.view = std::move(*view);
+  return out;
 }
 
 namespace {

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -31,9 +32,14 @@
 #include "src/core/cad_view.h"
 #include "src/core/cad_view_builder.h"
 #include "src/util/mutex.h"
+#include "src/util/result.h"
 #include "src/util/thread_annotations.h"
 
 namespace dbx {
+
+class Counter;
+class Gauge;
+class MetricsRegistry;
 
 /// Collapses whitespace runs to single spaces and trims, so textually
 /// different spellings of one predicate ("a  =  1" vs "a = 1") key equal.
@@ -146,7 +152,10 @@ class ViewCache {
  public:
   static constexpr size_t kDefaultByteBudget = 64u << 20;  // 64 MiB
 
-  explicit ViewCache(size_t byte_budget = kDefaultByteBudget);
+  /// `metrics` (nullable; must outlive the cache) receives the dbx_cache_*
+  /// series (DESIGN.md §10); stats()/Snapshot() count either way.
+  explicit ViewCache(size_t byte_budget = kDefaultByteBudget,
+                     MetricsRegistry* metrics = nullptr);
 
   ViewCache(const ViewCache&) = delete;
   ViewCache& operator=(const ViewCache&) = delete;
@@ -198,6 +207,20 @@ class ViewCache {
   size_t byte_budget() const { return byte_budget_; }
 
  private:
+  /// The dbx_cache_* series; all null (updates skipped) without a registry.
+  struct Instruments {
+    explicit Instruments(MetricsRegistry* registry);
+    Counter* hits = nullptr;
+    Counter* misses = nullptr;
+    Counter* inserts = nullptr;
+    Counter* evictions = nullptr;
+    Counter* invalidations = nullptr;
+    Counter* refinement_seeds = nullptr;
+    Counter* oversize_rejects = nullptr;
+    Gauge* bytes_in_use = nullptr;
+    Gauge* entries = nullptr;
+  };
+
   struct Entry {
     ViewCacheKey key;
     std::shared_ptr<const CachedCadView> value;
@@ -214,6 +237,7 @@ class ViewCache {
   std::vector<ViewCacheEntryInfo> EntryInfosLocked() const DBX_REQUIRES(mu_);
 
   const size_t byte_budget_;
+  const Instruments metrics_;
   mutable Mutex mu_;
   std::list<std::string> lru_ DBX_GUARDED_BY(mu_);  // canonical keys, front = MRU
   std::unordered_map<std::string, Entry> entries_ DBX_GUARDED_BY(mu_);
@@ -225,6 +249,29 @@ class ViewCache {
   std::map<std::string, OwnerAccount> owners_ DBX_GUARDED_BY(mu_);
   ViewCacheStats stats_ DBX_GUARDED_BY(mu_);
 };
+
+/// A view GetOrBuildCadView handed back, and the probe outcome: "hit",
+/// "miss", "uncacheable" (options without a fingerprint) or "no-cache".
+struct CachedBuild {
+  CadView view;
+  const char* probe = "no-cache";
+};
+
+using CacheKeyFn = std::function<ViewCacheKey(const std::string& fingerprint)>;
+using CadViewBuildFn = std::function<Result<CadView>(
+    const ViewCacheKey* key, CachedPartitions* partitions)>;
+
+/// The probe → copy on hit → build → insert path of every cached build, under
+/// a `cache_probe` span (options.tracer / trace_parent; `result=`, plus
+/// `saved_build_ms=` on a hit) in which `make_key` maps the options
+/// fingerprint to the key. A hit returns a copy the caller may mutate. A miss
+/// runs `build` — `key` (for FindRefinementBase) and `partitions` (to cache
+/// beside the view) are null when nothing will be cached — and inserts its
+/// view under `owner` at timings.total_ms build cost.
+[[nodiscard]] Result<CachedBuild> GetOrBuildCadView(
+    ViewCache* cache, const CadViewOptions& options,
+    const CacheKeyFn& make_key, const CadViewBuildFn& build,
+    const std::string& owner);
 
 /// Approximate heap footprint of a view — the byte-budget charge unit.
 /// Exposed so tests and tools can size budgets.

@@ -199,77 +199,47 @@ Result<const CadView*> TpFacetSession::View() {
   options.tracer = tracer_;
   options.trace_parent = trace_parent_;
 
-  // Resolve the cache key for this build context, when a cache is attached
-  // and the options are fingerprintable (no opaque preference functor). The
-  // domain mode is part of the params: per-fragment bins produce different
-  // bytes than projected global-domain bins.
-  ScopedSpan probe_span(tracer_, "cache_probe", trace_parent_);
-  std::optional<ViewCacheKey> key;
-  if (cache_ != nullptr) {
-    if (auto fp = CadViewOptionsFingerprint(options)) {
-      key = ViewCacheKey::Make(
-          dataset_id_, SelectionPredicates(), pivot_attr_, pivot_values_,
-          *fp + "|global_domain=" + (reuse_global_domain_ ? "1" : "0"));
-      if (auto hit = cache_->Lookup(*key)) {
-        probe_span.AddArg("result", "hit");
-        probe_span.AddArg("saved_build_ms",
-                          FormatDouble(hit->build_cost_ms, 3));
-        probe_span.End();
-        // Copy, not share: ClickPivotValue reorders the session's view in
-        // place and must not disturb the cached entry.
-        last_timings_ = hit->view.timings;
-        view_ = hit->view;
-        return const_cast<const CadView*>(&*view_);
-      }
-      probe_span.AddArg("result", "miss");
-    } else {
-      probe_span.AddArg("result", "uncacheable");
-    }
-  } else {
-    probe_span.AddArg("result", "no-cache");
-  }
-  probe_span.End();
-
-  Result<CadView> view = Status::Internal("unreached");
-  CadViewBuildExtras extras;
-  bool cacheable_partitions = false;
-  if (reuse_global_domain_) {
-    // Fast path: project the engine's full-table discretization onto the
-    // current result set (row ids coincide with discretized positions
-    // because the engine discretizes the whole table).
+  // The domain mode is part of the params: global-domain bins produce
+  // different bytes than the per-fragment bins of an engine build.
+  auto make_key = [&](const std::string& fingerprint) {
+    return ViewCacheKey::Make(dataset_id_, SelectionPredicates(), pivot_attr_,
+                              pivot_values_, fingerprint + "|global_domain=1");
+  };
+  auto build = [&](const ViewCacheKey* key,
+                   CachedPartitions* partitions) -> Result<CadView> {
+    // Project the engine's full-table discretization onto the current result
+    // set (row ids coincide with discretized positions because the engine
+    // discretizes the whole table).
     DiscretizedTable projected =
         facets_.discretized().Project(facets_.result_rows());
     // Partial reuse: a cached strictly-coarser selection context covers a
     // superset of the current rows, so intersecting its partition row-id
     // lists with the current result set reproduces exactly the partitions a
-    // pivot-column rescan would find. Valid only on this path — per-fragment
-    // rediscretization re-compacts codes, invalidating cached ones.
+    // pivot-column rescan would find. Valid only because the codes are the
+    // full table's — per-fragment rediscretization re-compacts codes.
     PartitionSeed seed;
     const PartitionSeed* seed_ptr = nullptr;
-    if (key.has_value()) {
+    if (key != nullptr) {
       if (auto base = cache_->FindRefinementBase(*key)) {
         seed = IntersectPartitions(base->partitions, facets_.result_rows());
         if (!seed.members_by_code.empty()) seed_ptr = &seed;
       }
     }
-    view = BuildCadViewFromDiscretized(projected, options, seed_ptr,
-                                       key.has_value() ? &extras : nullptr);
-    cacheable_partitions = key.has_value();
-  } else {
-    TableSlice slice{&facets_.table(), facets_.result_rows()};
-    view = BuildCadView(slice, options);
-  }
-  if (!view.ok()) return view.status();
-  last_timings_ = view->timings;
-  if (key.has_value()) {
-    CachedPartitions parts;
-    if (cacheable_partitions) {
-      parts = PartitionsToBaseRows(extras.partitions, facets_.result_rows());
+    CadViewBuildExtras extras;
+    auto view = BuildCadViewFromDiscretized(
+        projected, options, seed_ptr,
+        partitions != nullptr ? &extras : nullptr);
+    if (view.ok() && partitions != nullptr) {
+      *partitions =
+          PartitionsToBaseRows(extras.partitions, facets_.result_rows());
     }
-    cache_->Insert(*key, *view, std::move(parts), view->timings.total_ms,
-                   cache_owner_);
-  }
-  view_ = std::move(*view);
+    return view;
+  };
+  DBX_ASSIGN_OR_RETURN(CachedBuild built,
+                       GetOrBuildCadView(cache_.get(), options, make_key,
+                                         build, cache_owner_));
+  last_timings_ = built.view.timings;
+  view_ = std::move(built.view);
   return const_cast<const CadView*>(&*view_);
 }
 

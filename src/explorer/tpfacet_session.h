@@ -118,7 +118,9 @@ class TpFacetSession {
   /// Restricts the view to specific pivot values (empty = all).
   void SetPivotValues(std::vector<std::string> values);
 
-  /// The current CAD View, building it if stale. Requires SetPivot.
+  /// The current CAD View, building it if stale over a projection of the
+  /// engine's full-table discretization: facet labels stay identical across
+  /// interactions and re-builds skip re-binning. Requires SetPivot.
   [[nodiscard]] Result<const CadView*> View();
 
   /// Click on an IUnit: returns similar IUnits across the view (threshold
@@ -144,27 +146,17 @@ class TpFacetSession {
     return last_timings_;
   }
 
-  /// When true (default), CAD Views are built over a projection of the
-  /// engine's full-table discretization: facet labels stay identical across
-  /// interactions and re-builds skip re-binning entirely. Set false to
-  /// re-discretize each selected fragment (per-query bins, as in the paper's
-  /// worst-case timings).
-  void set_reuse_global_domain(bool reuse) { reuse_global_domain_ = reuse; }
-  bool reuse_global_domain() const { return reuse_global_domain_; }
-
   /// Attaches a (possibly shared) view cache. Subsequent View() calls look up
   /// the current (selections, pivot, options) context before building; misses
-  /// insert the finished view, and on the global-domain path a cached
-  /// strictly-coarser context seeds the rebuild with its partition row-id
-  /// lists. `dataset_id` names the table *registration* for keying — use a
-  /// MakeSnapshotDatasetId value when the cache is shared, so sessions over
-  /// different registrations of one name can never collide. `owner`
-  /// attributes this session's inserts for per-owner byte budgeting in a
-  /// shared cache ("" = unattributed). Output is byte-identical with or
-  /// without a cache. nullptr detaches.
+  /// insert the finished view, and a cached strictly-coarser context seeds
+  /// the rebuild with its partition row-id lists. `dataset_id` names the
+  /// table *registration* for keying — use a MakeSnapshotDatasetId value
+  /// when the cache is shared, so sessions over different registrations of
+  /// one name can never collide. `owner` attributes this session's inserts
+  /// for per-owner byte budgeting in a shared cache ("" = unattributed).
+  /// Output is byte-identical with or without a cache. nullptr detaches.
   void SetViewCache(std::shared_ptr<ViewCache> cache, std::string dataset_id,
                     std::string owner = "");
-  const std::shared_ptr<ViewCache>& view_cache() const { return cache_; }
 
   /// Canonical predicate strings of the current query panel, one per selected
   /// attribute ("attr IN ('a', 'b')", values by ascending code) — the
@@ -222,7 +214,6 @@ class TpFacetSession {
   std::optional<CadViewTimings> last_timings_;
   TpFacetPhase phase_ = TpFacetPhase::kResults;
   size_t operation_count_ = 0;
-  bool reuse_global_domain_ = true;
   std::shared_ptr<ViewCache> cache_;
   std::string dataset_id_;
   std::string cache_owner_;

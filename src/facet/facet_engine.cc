@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/obs/metrics.h"
-#include "src/util/stopwatch.h"
 
 namespace dbx {
 
@@ -96,12 +94,8 @@ std::vector<std::vector<int32_t>> FacetEngine::SelectionVectors() const {
 void FacetEngine::Recompute() {
   ScopedSpan span(tracer_, "facet_recompute", trace_parent_);
   span.AddArg("selected_attrs", static_cast<uint64_t>(selections_.size()));
-  Stopwatch timer;
   result_rows_ = index_.EvaluateSelections(SelectionVectors()).ToRowSet();
   span.AddArg("result_rows", static_cast<uint64_t>(result_rows_.size()));
-  MetricsRegistry* reg = MetricsRegistry::Global();
-  reg->GetCounter("dbx_facet_recomputes_total")->Increment();
-  reg->GetHistogram("dbx_facet_recompute_ms")->ObserveNs(timer.ElapsedNanos());
 }
 
 Result<AttributeDigest> FacetEngine::PanelCounts(const std::string& attr) const {

@@ -90,11 +90,6 @@ const std::vector<double>& DefaultLatencyBoundsMs() {
   return *bounds;
 }
 
-MetricsRegistry* MetricsRegistry::Global() {
-  static MetricsRegistry* global = new MetricsRegistry();
-  return global;
-}
-
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   MutexLock lock(mu_);
   auto& slot = counters_[name];

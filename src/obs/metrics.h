@@ -84,15 +84,14 @@ class Histogram {
 const std::vector<double>& DefaultLatencyBoundsMs();
 
 /// Named instrument store. Get* returns a stable pointer, creating the
-/// instrument on first use; instruments are never removed. A process-wide
-/// instance lives behind Global(); tests use local registries.
+/// instrument on first use; instruments are never removed. There is no
+/// process-wide instance: the owner of the work (the server's Dispatcher, a
+/// bench) holds one and hands it down.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  static MetricsRegistry* Global();
 
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);

@@ -2,9 +2,8 @@
 // Structured query log (DESIGN.md §14): a thread-safe, bounded JSONL sink of
 // per-statement records — canonical statement text, session id, client trace
 // id, result status, cache probe outcome, response bytes, total latency, and
-// per-stage latencies lifted from the span tree. The engine appends records
-// for library/REPL use; the server dispatcher appends richer records (trace
-// ids + stage latencies) for every EXEC.
+// per-stage latencies lifted from the span tree. The server dispatcher, which
+// owns each statement, is the one producer: one record per EXEC.
 //
 // Determinism contract: the sink never reads a clock — every timing in a
 // record is supplied by the caller — and serialization emits fields in a
@@ -39,12 +38,12 @@ namespace dbx {
 /// slow threshold.
 struct QueryLogRecord {
   uint64_t seq = 0;            // 1-based, assigned by the sink
-  std::string session;         // session id ("s3") or engine scope label
+  std::string session;         // session id ("s3")
   std::string trace;           // client-sent trace id; "" = none
   std::string statement;       // canonical statement text
   std::string status = "OK";   // "OK" or Status::CodeName
   std::string cache = "none";  // cache probe: hit/miss/uncacheable/no-cache/none
-  uint64_t response_bytes = 0;  // rendered (engine) / response payload (server)
+  uint64_t response_bytes = 0;  // response payload bytes
   double total_ms = 0.0;        // caller-measured wall time
   bool slow = false;            // total_ms >= slow threshold (sink-evaluated)
   /// Per-stage wall time summed by span name over the statement's span
@@ -120,7 +119,8 @@ class QueryLog {
 /// (excluding the root itself), returning (name, total_ms) pairs sorted by
 /// name — the "stage latencies" a QueryLogRecord carries. Events whose
 /// ancestor chain does not reach `root_id` (other sessions' statements on a
-/// shared tracer) are ignored.
+/// shared tracer) are ignored, so `events` may be Tracer::Events(root_id):
+/// the subtree opened after its root.
 std::vector<std::pair<std::string, double>> StageLatenciesFromSpans(
     const std::vector<TraceEvent>& events, uint64_t root_id);
 

@@ -124,18 +124,16 @@ uint64_t Tracer::Emit(std::string name, uint64_t parent, uint64_t start_ns,
   return id;
 }
 
-std::vector<TraceEvent> Tracer::Events() const {
+std::vector<TraceEvent> Tracer::Events(uint64_t min_id) const {
   std::vector<TraceEvent> out;
   {
     MutexLock lock(mu_);
-    if (ring_.size() < capacity_) {
-      out = ring_;
-    } else {
-      // Oldest-first: the slot about to be overwritten is the oldest.
-      out.reserve(ring_.size());
-      for (size_t i = 0; i < ring_.size(); ++i) {
-        out.push_back(ring_[(next_slot_ + i) % capacity_]);
-      }
+    if (min_id == 0) out.reserve(ring_.size());
+    // Oldest-first: once the ring is full, the slot about to be overwritten
+    // is the oldest; until then next_slot_ stays 0.
+    for (size_t i = 0; i < ring_.size(); ++i) {
+      const TraceEvent& e = ring_[(next_slot_ + i) % ring_.size()];
+      if (e.id >= min_id) out.push_back(e);
     }
   }
   std::stable_sort(out.begin(), out.end(),

@@ -67,9 +67,10 @@ class Tracer {
   /// Nanoseconds since the tracer's epoch. 0 when disabled.
   uint64_t NowNs() const;
 
-  /// Finished spans in insertion order (ring order), then stably sorted by
-  /// start time so exports read chronologically.
-  std::vector<TraceEvent> Events() const;
+  /// Finished spans with an id of at least `min_id` (ids are handed out as
+  /// spans open, so a span's id selects it and every descendant), in ring
+  /// order, then stably sorted by start time so exports read chronologically.
+  std::vector<TraceEvent> Events(uint64_t min_id = 0) const;
 
   /// Spans discarded because the ring was full.
   uint64_t dropped() const;

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <map>
 
 #include "src/core/cad_view_renderer.h"
 #include "src/obs/explain.h"
-#include "src/obs/metrics.h"
 #include "src/query/canonical.h"
 #include "src/query/parser.h"
 #include "src/util/ascii_table.h"
@@ -18,19 +18,11 @@
 namespace dbx {
 namespace {
 
-const char* StatementKindName(const Statement& statement) {
-  if (std::holds_alternative<SelectStmt>(statement)) return "select";
-  if (std::holds_alternative<CreateCadViewStmt>(statement)) {
-    return "create_cadview";
-  }
-  if (std::holds_alternative<HighlightStmt>(statement)) return "highlight";
-  if (std::holds_alternative<ReorderStmt>(statement)) return "reorder";
-  if (std::holds_alternative<DescribeStmt>(statement)) return "describe";
-  if (std::holds_alternative<ShowStmt>(statement)) return "show";
-  if (std::holds_alternative<DropCadViewStmt>(statement)) return "drop";
-  if (std::holds_alternative<ExplainStmt>(statement)) return "explain";
-  return "statement";
-}
+// Indexed by ExecOutcome::Kind, whose order is that of Statement.
+constexpr const char* kStatementKindNames[] = {
+    "select", "create_cadview", "highlight", "reorder",
+    "describe", "show", "drop", "explain"};
+static_assert(std::size(kStatementKindNames) == std::variant_size_v<Statement>);
 
 // One ORDER BY key: stable-sorts `rows` by their cells in `col`. Null cells
 // sort last under ASC, first under DESC.
@@ -73,54 +65,23 @@ void Engine::RegisterTableSnapshot(const std::string& name,
   tables_[name] = {std::move(table), std::move(dataset_id)};
 }
 
+const char* StatementKindName(ExecOutcome::Kind kind) {
+  return kStatementKindNames[static_cast<size_t>(kind)];
+}
+
 Result<ExecOutcome> Engine::ExecuteSql(const std::string& sql) {
-  Stopwatch total_timer;
   Stopwatch parse_timer;
-  auto stmt = ParseStatement(sql);
-  std::string canonical;
-  std::optional<Result<ExecOutcome>> result;
-  if (!stmt.ok()) {
-    result.emplace(stmt.status());
-  } else {
-    last_parse_ns_ = parse_timer.ElapsedNanos();
-    canonical = StatementToSql(*stmt);
-    result.emplace(Execute(std::move(*stmt)));
-    if (result->ok()) (*result)->canonical_sql = canonical;
-  }
-  if (query_log_ != nullptr) {
-    QueryLogRecord rec;
-    rec.session = query_log_scope_;
-    // Parse failures have no canonical form; log the raw text.
-    rec.statement = canonical.empty() ? sql : canonical;
-    if (result->ok()) {
-      rec.cache = (*result)->cache_result;
-      rec.response_bytes = (*result)->rendered.size();
-    } else {
-      rec.status = Status::CodeName(result->status().code());
-    }
-    rec.total_ms = total_timer.ElapsedNanos() / 1e6;
-    query_log_->Append(std::move(rec));
-  }
-  return std::move(*result);
+  DBX_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
+  last_parse_ns_ = parse_timer.ElapsedNanos();
+  std::string canonical = StatementToSql(stmt);
+  auto result = Execute(std::move(stmt));
+  if (result.ok()) result->canonical_sql = std::move(canonical);
+  return result;
 }
 
 Result<ExecOutcome> Engine::Execute(Statement statement) {
   const uint64_t parse_ns = last_parse_ns_;
   last_parse_ns_ = 0;
-  Stopwatch timer;
-  MetricsRegistry* reg = MetricsRegistry::Global();
-  reg->GetCounter(std::string("dbx_query_statements_total"))->Increment();
-  reg->GetCounter(std::string("dbx_query_") + StatementKindName(statement) +
-                  "_total")
-      ->Increment();
-  struct LatencyRecord {
-    Stopwatch* timer;
-    ~LatencyRecord() {
-      MetricsRegistry::Global()
-          ->GetHistogram("dbx_query_statement_ms")
-          ->ObserveNs(timer->ElapsedNanos());
-    }
-  } latency_record{&timer};
   if (auto* s = std::get_if<ExplainStmt>(&statement)) {
     return ExecuteExplain(std::move(*s), parse_ns);
   }
@@ -390,7 +351,7 @@ Result<ExecOutcome> Engine::ExecuteCreateCadView(CreateCadViewStmt stmt) {
   if (it == tables_.end()) {
     return Status::NotFound("no table named '" + stmt.table + "'");
   }
-  const Table& table = *it->second.table;
+  const TableRegistration& registration = it->second;
 
   CadViewOptions options = defaults_;
   options.pivot_attr = stmt.pivot_attr;
@@ -405,97 +366,66 @@ Result<ExecOutcome> Engine::ExecuteCreateCadView(CreateCadViewStmt stmt) {
   // selection context; ORDER BY joins the params because the cached view is
   // the post-ORDER-BY result. Engine builds rediscretize each fragment, so
   // only full hits apply (no partition seeds).
-  ScopedSpan probe_span(tracer_, "cache_probe", trace_parent_);
-  const char* cache_result = "no-cache";
-  std::optional<ViewCacheKey> key;
-  if (cache_ != nullptr) {
-    if (auto fp = CadViewOptionsFingerprint(options)) {
-      std::string params = *fp + "|ob=";
-      for (const auto& [attr_name, ascending] : stmt.order_by) {
-        params += attr_name + (ascending ? ":1," : ":0,");
-      }
-      std::vector<std::string> predicates;
-      if (stmt.where) predicates.push_back(stmt.where->ToString());
-      key = ViewCacheKey::Make(it->second.dataset_id,
-                               std::move(predicates), stmt.pivot_attr, {},
-                               std::move(params));
-      if (auto hit = cache_->Lookup(*key)) {
-        probe_span.AddArg("result", "hit");
-        probe_span.AddArg("saved_build_ms",
-                          FormatDouble(hit->build_cost_ms, 3));
-        probe_span.End();
-        // Store a copy: REORDER mutates stored views in place and must not
-        // disturb the cached entry.
-        auto stored = std::make_unique<CadView>(hit->view);
-        const CadView* ptr = stored.get();
-        views_[stmt.view_name] = std::move(stored);
-        ExecOutcome out;
-        out.kind = ExecOutcome::Kind::kCadView;
-        out.view_name = stmt.view_name;
-        out.view = ptr;
-        out.rendered = RenderCadView(*ptr);
-        out.cache_result = "hit";
-        return out;
-      }
-      cache_result = "miss";
-      probe_span.AddArg("result", "miss");
-    } else {
-      cache_result = "uncacheable";
-      probe_span.AddArg("result", "uncacheable");
+  auto make_key = [&](const std::string& fingerprint) {
+    std::string params = fingerprint + "|ob=";
+    for (const auto& [attr_name, ascending] : stmt.order_by) {
+      params += attr_name + (ascending ? ":1," : ":0,");
     }
-  } else {
-    probe_span.AddArg("result", "no-cache");
-  }
-  probe_span.End();
-
-  TableSlice slice = TableSlice::All(table);
-  if (stmt.where) {
-    auto rows = Predicate::Evaluate(stmt.where.get(), slice);
-    if (!rows.ok()) return rows.status();
-    slice.rows = std::move(*rows);
-  }
-
+    std::vector<std::string> predicates;
+    if (stmt.where) predicates.push_back(stmt.where->ToString());
+    return ViewCacheKey::Make(registration.dataset_id, std::move(predicates),
+                              stmt.pivot_attr, {}, std::move(params));
+  };
   // When the WHERE clause pins the pivot attribute to an explicit OR/IN set,
   // the paper's example keeps exactly those values as the view's rows. We
   // keep the simpler rule: rows = pivot values present in the fragment
   // (identical outcome for such queries since other values were filtered out).
-  auto view = BuildCadView(slice, options);
-  if (!view.ok()) return view.status();
+  auto build = [&](const ViewCacheKey*, CachedPartitions*) -> Result<CadView> {
+    TableSlice slice = TableSlice::All(*registration.table);
+    if (stmt.where) {
+      auto rows = Predicate::Evaluate(stmt.where.get(), slice);
+      if (!rows.ok()) return rows.status();
+      slice.rows = std::move(*rows);
+    }
+    auto view = BuildCadView(slice, options);
+    if (!view.ok()) return view.status();
 
-  // ORDER BY: sort each row's IUnits by a compare attribute's top value.
-  for (auto rit = stmt.order_by.rbegin(); rit != stmt.order_by.rend(); ++rit) {
-    const auto& [attr_name, ascending] = *rit;
-    size_t ci = view->compare_attrs.size();
-    for (size_t i = 0; i < view->compare_attrs.size(); ++i) {
-      if (view->compare_attrs[i].name == attr_name) {
-        ci = i;
-        break;
+    // ORDER BY: sort each row's IUnits by a compare attribute's top value.
+    for (auto rit = stmt.order_by.rbegin(); rit != stmt.order_by.rend();
+         ++rit) {
+      const auto& [attr_name, ascending] = *rit;
+      size_t ci = view->compare_attrs.size();
+      for (size_t i = 0; i < view->compare_attrs.size(); ++i) {
+        if (view->compare_attrs[i].name == attr_name) {
+          ci = i;
+          break;
+        }
+      }
+      if (ci == view->compare_attrs.size()) {
+        return Status::InvalidArgument("ORDER BY attribute '" + attr_name +
+                                       "' is not a compare attribute");
+      }
+      for (CadViewRow& row : view->rows) {
+        std::stable_sort(row.iunits.begin(), row.iunits.end(),
+                         [&](const IUnit& a, const IUnit& b) {
+                           int32_t ka = a.cells[ci].codes.empty()
+                                            ? INT32_MAX
+                                            : a.cells[ci].codes.front();
+                           int32_t kb = b.cells[ci].codes.empty()
+                                            ? INT32_MAX
+                                            : b.cells[ci].codes.front();
+                           return ascending ? ka < kb : ka > kb;
+                         });
       }
     }
-    if (ci == view->compare_attrs.size()) {
-      return Status::InvalidArgument("ORDER BY attribute '" + attr_name +
-                                     "' is not a compare attribute");
-    }
-    for (CadViewRow& row : view->rows) {
-      std::stable_sort(row.iunits.begin(), row.iunits.end(),
-                       [&](const IUnit& a, const IUnit& b) {
-                         int32_t ka = a.cells[ci].codes.empty()
-                                          ? INT32_MAX
-                                          : a.cells[ci].codes.front();
-                         int32_t kb = b.cells[ci].codes.empty()
-                                          ? INT32_MAX
-                                          : b.cells[ci].codes.front();
-                         return ascending ? ka < kb : ka > kb;
-                       });
-    }
-  }
+    return view;
+  };
+  DBX_ASSIGN_OR_RETURN(CachedBuild built,
+                       GetOrBuildCadView(cache_.get(), options, make_key,
+                                         build, cache_owner_));
 
-  if (key.has_value()) {
-    cache_->Insert(*key, *view, CachedPartitions{}, view->timings.total_ms,
-                   cache_owner_);
-  }
-
-  auto stored = std::make_unique<CadView>(std::move(*view));
+  // A hit is a copy: REORDER mutates stored views in place.
+  auto stored = std::make_unique<CadView>(std::move(built.view));
   const CadView* ptr = stored.get();
   views_[stmt.view_name] = std::move(stored);
 
@@ -504,7 +434,7 @@ Result<ExecOutcome> Engine::ExecuteCreateCadView(CreateCadViewStmt stmt) {
   out.view_name = stmt.view_name;
   out.view = ptr;
   out.rendered = RenderCadView(*ptr);
-  out.cache_result = cache_result;
+  out.cache_result = built.probe;
   return out;
 }
 
@@ -627,7 +557,7 @@ Result<ExecOutcome> Engine::ExecuteExplain(ExplainStmt stmt, uint64_t parse_ns) 
   Statement inner = std::move(stmt.inner->get());
   const std::string inner_sql = StatementToSql(inner);
   const std::string root_name =
-      std::string("execute:") + StatementKindName(inner);
+      std::string("execute:") + kStatementKindNames[inner.index()];
 
   // A fresh collector per EXPLAIN keeps the rendered tree scoped to this one
   // statement even when a session-wide tracer is also attached.
@@ -653,9 +583,7 @@ Result<ExecOutcome> Engine::ExecuteExplain(ExplainStmt stmt, uint64_t parse_ns) 
   std::string text = "EXPLAIN ANALYZE " + inner_sql + "\n\n";
   text += RenderSpanTree(tracer.Events());
   if (cache_ != nullptr) text += ExplainCacheLine(cache_->stats());
-  const ThreadPool::Stats pool_stats = ThreadPool::Shared().GetStats();
-  ExportThreadPoolMetrics(pool_stats, MetricsRegistry::Global());
-  text += ThreadPoolStatsLine(pool_stats) + "\n";
+  text += ThreadPoolStatsLine(ThreadPool::Shared().GetStats()) + "\n";
 
   ExecOutcome out = std::move(**inner_result);
   out.kind = ExecOutcome::Kind::kExplain;

@@ -13,7 +13,6 @@
 #include "src/core/cad_view.h"
 #include "src/core/cad_view_builder.h"
 #include "src/core/view_cache.h"
-#include "src/obs/query_log.h"
 #include "src/obs/trace.h"
 #include "src/query/ast.h"
 #include "src/util/result.h"
@@ -22,6 +21,7 @@ namespace dbx {
 
 /// What a statement produced.
 struct ExecOutcome {
+  /// In the order of Statement's alternatives.
   enum class Kind { kSelection, kCadView, kHighlight, kReorder, kDescribe,
                     kShow, kDrop, kExplain };
   Kind kind = Kind::kSelection;
@@ -53,6 +53,10 @@ struct ExecOutcome {
   /// statement kind.
   std::string cache_result = "none";
 };
+
+/// The label of a statement kind in metric names and EXPLAIN root spans,
+/// e.g. "select" or "create_cadview".
+const char* StatementKindName(ExecOutcome::Kind kind);
 
 /// One catalog entry: an immutable table and the snapshot dataset id that
 /// keys its cached views.
@@ -109,7 +113,6 @@ class Engine {
   void SetViewCache(std::shared_ptr<ViewCache> cache) {
     cache_ = std::move(cache);
   }
-  const std::shared_ptr<ViewCache>& view_cache() const { return cache_; }
 
   /// Attaches a span collector: CREATE CADVIEW statements emit cache_probe
   /// and pipeline-stage spans under `trace_parent`. EXPLAIN [ANALYZE]
@@ -117,17 +120,6 @@ class Engine {
   void SetTracer(Tracer* tracer, uint64_t trace_parent = 0) {
     tracer_ = tracer == nullptr ? Tracer::Disabled() : tracer;
     trace_parent_ = trace_parent;
-  }
-
-  /// Attaches a query log: every ExecuteSql appends one record (scope label
-  /// as the session field, canonical statement text, status, cache probe
-  /// outcome, rendered bytes, total latency). The server dispatcher logs at
-  /// the request layer instead — richer records with trace ids and stage
-  /// latencies — so it leaves this unset to avoid double logging. nullptr
-  /// detaches.
-  void SetQueryLog(QueryLog* log, std::string scope_label = "engine") {
-    query_log_ = log;
-    query_log_scope_ = std::move(scope_label);
   }
 
   /// Parses and executes one statement.
@@ -160,8 +152,6 @@ class Engine {
   std::string cache_owner_;
   Tracer* tracer_ = Tracer::Disabled();
   uint64_t trace_parent_ = 0;
-  QueryLog* query_log_ = nullptr;
-  std::string query_log_scope_;
   /// Parse time of the statement ExecuteSql just handed to Execute — the
   /// "parse" span of an EXPLAIN ANALYZE (0 for pre-parsed statements).
   uint64_t last_parse_ns_ = 0;

@@ -5,8 +5,6 @@
 #include <string_view>
 
 #include "src/obs/explain.h"
-#include "src/obs/metrics.h"
-#include "src/util/stopwatch.h"
 #include "src/util/string_util.h"
 #include "src/util/thread_pool.h"
 
@@ -22,6 +20,29 @@ std::pair<std::string, std::string> SplitToken(const std::string& s) {
   if (e == std::string::npos) return {s.substr(b), ""};
   size_t r = s.find_first_not_of(" \t\r\n", e);
   return {s.substr(b, e - b), r == std::string::npos ? "" : s.substr(r)};
+}
+
+/// Counts a successful statement by kind and, when it built a CAD View afresh
+/// (any probe outcome but a hit, EXPLAIN included), the build by stage.
+void RecordStatement(const ExecOutcome& outcome, MetricsRegistry* metrics) {
+  const std::string kind = StatementKindName(outcome.kind);
+  metrics->GetCounter("dbx_query_statements_total")->Increment();
+  metrics->GetCounter("dbx_query_" + kind + "_total")->Increment();
+  if (outcome.view == nullptr || outcome.cache_result == "none" ||
+      outcome.cache_result == "hit") {
+    return;
+  }
+  const CadViewTimings& t = outcome.view->timings;
+  metrics->GetCounter("dbx_core_builds_total")->Increment();
+  const std::pair<const char*, double> stages[] = {
+      {"dbx_core_build_ms", t.total_ms},
+      {"dbx_core_build_discretize_ms", t.discretize_ms},
+      {"dbx_core_build_compare_attrs_ms", t.compare_attrs_ms},
+      {"dbx_core_build_iunit_gen_ms", t.iunit_gen_ms},
+      {"dbx_core_build_topk_ms", t.topk_ms}};
+  for (const auto& [series, ms] : stages) {
+    metrics->GetHistogram(series)->Observe(ms);
+  }
 }
 
 /// Decrements the in-flight statement count on every exit path.
@@ -40,9 +61,9 @@ class InflightSlot {
 
 Dispatcher::Dispatcher(ServerOptions options)
     : options_(std::move(options)),
-      cache_(std::make_shared<ViewCache>(options_.cache_budget_bytes)),
-      metrics_(options_.metrics != nullptr ? options_.metrics
-                                           : MetricsRegistry::Global()),
+      metrics_(options_.metrics != nullptr ? options_.metrics : &own_metrics_),
+      cache_(std::make_shared<ViewCache>(options_.cache_budget_bytes,
+                                         metrics_)),
       tracer_(options_.tracer != nullptr ? options_.tracer
                                          : Tracer::Disabled()),
       query_log_(options_.query_log) {}
@@ -133,13 +154,15 @@ size_t Dispatcher::session_count() const {
 
 std::string Dispatcher::HandleExec(const std::string& sid,
                                    const std::string& sql,
-                                   const std::string& trace_id) {
-  Stopwatch timer;
+                                   const std::string& trace_id,
+                                   const Stopwatch& timer) {
   Status status = Status::OK();
   std::string body;
-  std::string statement = sql;  // canonical form once a parse succeeds
-  std::string cache_result = "none";
-  std::vector<std::pair<std::string, double>> stages;
+  QueryLogRecord rec;  // appended when a query log is attached
+  rec.session = sid;
+  rec.trace = trace_id;
+  rec.statement = sql;  // the canonical form once the statement succeeds
+  uint64_t root_id = 0;
 
   if (sql.empty()) {
     status =
@@ -157,45 +180,46 @@ std::string Dispatcher::HandleExec(const std::string& sid,
     // Slot released on every path below; unlimited mode never took one.
     std::optional<InflightSlot> slot;
     if (options_.max_inflight > 0) slot.emplace(&inflight_);
-    if (options_.exec_hook_for_test) options_.exec_hook_for_test(sql);
-
-    // A session is one sequential conversation: statements addressed to it
-    // are serialized here even when several connections send them.
-    MutexLock session_lock(session->mu);
     // Root span per statement, tagged with the session and the client-sent
     // trace id; the engine hangs its cache_probe/pipeline spans beneath it.
+    // It opens before the session lock, so time spent queued behind the
+    // session's previous statement is its session_wait stage.
     ScopedSpan root(tracer_, "exec");
     root.AddArg("session", sid);
     if (!trace_id.empty()) root.AddArg("trace", trace_id);
-    const uint64_t root_id = root.id();
+    root_id = root.id();
+    ScopedSpan wait(tracer_, "session_wait", root_id);
+    // A session is one sequential conversation: statements addressed to it
+    // are serialized here even when several connections send them.
+    MutexLock session_lock(session->mu);
+    wait.End();
+    if (options_.exec_hook_for_test) options_.exec_hook_for_test(sql);
     session->engine.SetTracer(tracer_, root_id);
     auto outcome = session->engine.ExecuteSql(sql);
     session->engine.SetTracer(nullptr);
     if (outcome.ok()) {
       body = outcome->rendered;
-      if (!outcome->canonical_sql.empty()) statement = outcome->canonical_sql;
-      cache_result = outcome->cache_result;
+      rec.statement = outcome->canonical_sql;
+      rec.cache = outcome->cache_result;
+      RecordStatement(*outcome, metrics_);
     } else {
       status = outcome.status();
       root.AddArg("error", Status::CodeName(status.code()));
     }
-    root.End();
-    if (query_log_ != nullptr && root_id != 0) {
-      stages = StageLatenciesFromSpans(tracer_->Events(), root_id);
-    }
   }
 
   const std::string response = EncodeResponse(status, body);
+  const uint64_t total_ns = timer.ElapsedNanos();
+  metrics_->GetHistogram("dbx_query_statement_ms")->ObserveNs(total_ns);
   if (query_log_ != nullptr) {
-    QueryLogRecord rec;
-    rec.session = sid;
-    rec.trace = trace_id;
-    rec.statement = statement;
     rec.status = status.ok() ? "OK" : Status::CodeName(status.code());
-    rec.cache = cache_result;
     rec.response_bytes = response.size();
-    rec.total_ms = timer.ElapsedNanos() / 1e6;
-    rec.stages = std::move(stages);
+    rec.total_ms = total_ns / 1e6;
+    // The statement's spans all opened after its root, so they are the
+    // ones with larger ids; read only those, outside the session lock.
+    if (root_id != 0) {
+      rec.stages = StageLatenciesFromSpans(tracer_->Events(root_id), root_id);
+    }
     query_log_->Append(std::move(rec));
   }
   return response;
@@ -274,7 +298,7 @@ std::string Dispatcher::HandleRequest(const std::string& payload,
     }
     if (!bad_option) {
       auto [sid, sql] = SplitToken(args);
-      response = HandleExec(sid, sql, trace_id);
+      response = HandleExec(sid, sql, trace_id, timer);
     }
   } else if (command == "CLOSE") {
     auto [sid, extra] = SplitToken(rest);
@@ -294,6 +318,7 @@ std::string Dispatcher::HandleRequest(const std::string& payload,
   } else if (command == "STATS" && rest.empty()) {
     response = EncodeResponse(Status::OK(), RenderStats());
   } else if (command == "METRICS" && rest.empty()) {
+    ExportThreadPoolMetrics(ThreadPool::Shared().GetStats(), metrics_);
     response = EncodeResponse(Status::OK(), metrics_->PrometheusText());
   } else {
     response = EncodeResponse(

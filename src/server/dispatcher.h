@@ -44,15 +44,14 @@
 #include <utility>
 #include <vector>
 
+#include "src/obs/metrics.h"
+#include "src/obs/query_log.h"
 #include "src/query/engine.h"
 #include "src/server/protocol.h"
 #include "src/server/transport.h"
 #include "src/util/mutex.h"
 #include "src/util/result.h"
-
-namespace dbx {
-class MetricsRegistry;
-}  // namespace dbx
+#include "src/util/stopwatch.h"
 
 namespace dbx::server {
 
@@ -78,7 +77,8 @@ struct ServerOptions {
   /// num_threads, optimizations).
   CadViewOptions cad_defaults;
 
-  /// Instrument sink; nullptr = MetricsRegistry::Global().
+  /// Instrument sink for the server, statement, build and cache series;
+  /// nullptr = a registry the dispatcher owns. Must outlive the dispatcher.
   MetricsRegistry* metrics = nullptr;
 
   /// Span collector for per-statement root spans and engine pipeline spans;
@@ -91,8 +91,9 @@ struct ServerOptions {
   QueryLog* query_log = nullptr;
 
   /// Test seam: when set, called with the statement text inside EXEC, after
-  /// admission but before execution — lets tests hold a statement in flight
-  /// deterministically. Never set in production.
+  /// admission and the session lock but before execution — lets tests hold
+  /// a statement (and its session) in flight deterministically. Never set in
+  /// production.
   std::function<void(const std::string&)> exec_hook_for_test;
 };
 
@@ -145,6 +146,7 @@ class Dispatcher {
   [[nodiscard]] Status CloseSession(const std::string& sid);
 
   size_t session_count() const;
+  /// The shared cache; it records into metrics().
   const std::shared_ptr<ViewCache>& cache() const { return cache_; }
   MetricsRegistry* metrics() const { return metrics_; }
   const ServerOptions& options() const { return options_; }
@@ -168,13 +170,16 @@ class Dispatcher {
 
   [[nodiscard]] Result<std::string> OpenSession(ConnectionScope* scope);
   std::shared_ptr<Session> FindSession(const std::string& sid) const;
+  /// Executes one statement and makes its metrics and query-log record, the
+  /// only place either is made. `timer` started with the request.
   std::string HandleExec(const std::string& sid, const std::string& sql,
-                         const std::string& trace_id);
+                         const std::string& trace_id, const Stopwatch& timer);
   std::string RenderStats() const;
 
   const ServerOptions options_;
+  MetricsRegistry own_metrics_;  // used when options_.metrics is null
+  MetricsRegistry* metrics_;     // never null
   std::shared_ptr<ViewCache> cache_;
-  MetricsRegistry* metrics_;
   Tracer* tracer_;       // never null (Tracer::Disabled() when off)
   QueryLog* query_log_;  // nullable
 

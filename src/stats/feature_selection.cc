@@ -4,10 +4,8 @@
 #include <cmath>
 #include <optional>
 
-#include "src/obs/metrics.h"
 #include "src/stats/contingency.h"
 #include "src/util/shard.h"
-#include "src/util/stopwatch.h"
 #include "src/util/thread_pool.h"
 
 namespace dbx {
@@ -38,7 +36,6 @@ Result<std::vector<FeatureScore>> RankFeatures(
   span.AddArg("candidates", static_cast<uint64_t>(candidates.size()));
   span.AddArg("rows", static_cast<uint64_t>(dt.num_rows()));
   span.AddArg("shards", static_cast<uint64_t>(shards));
-  Stopwatch timer;
   for (size_t idx : candidates) {
     if (idx >= dt.num_attrs()) {
       return Status::OutOfRange("candidate attribute index out of range");
@@ -92,12 +89,6 @@ Result<std::vector<FeatureScore>> RankFeatures(
                      if (a.score != b.score) return a.score > b.score;
                      return a.attr_index < b.attr_index;
                    });
-  MetricsRegistry* reg = MetricsRegistry::Global();
-  reg->GetCounter("dbx_stats_rank_features_total")->Increment();
-  reg->GetCounter("dbx_stats_candidates_ranked_total")
-      ->Increment(candidates.size());
-  reg->GetHistogram("dbx_stats_rank_features_ms")
-      ->ObserveNs(timer.ElapsedNanos());
   return scores;
 }
 

@@ -1,9 +1,10 @@
 // Copyright (c) DBExplorer reproduction authors.
 // Structured query log (DESIGN.md §14): serialization goldens, the
 // determinism contract (byte-identical JSONL run to run once wall-clock
-// fields are stripped), slow-only filtering, ring bounds, the file sink,
-// stage-latency extraction from span trees, and a concurrency hammer that
-// the TSAN tier runs to vet the sink's locking.
+// fields are stripped, through the dispatcher that writes the records),
+// slow-only filtering, ring bounds, the file sink, stage-latency extraction
+// from span trees, and a concurrency hammer that the TSAN tier runs to vet
+// the sink's locking.
 
 #include "src/obs/query_log.h"
 
@@ -20,7 +21,9 @@
 
 #include "src/data/used_cars.h"
 #include "src/obs/trace.h"
-#include "src/query/engine.h"
+#include "src/server/dispatcher.h"
+#include "src/server/protocol.h"
+#include "src/server/transport.h"
 
 namespace dbx {
 namespace {
@@ -198,39 +201,68 @@ TEST(StageLatenciesTest, EmptyForUnknownRootOrNoChildren) {
   EXPECT_TRUE(StageLatenciesFromSpans({}, 1).empty());
 }
 
-// --- engine integration: the byte-determinism golden ----------------------
+// --- dispatcher integration: the byte-determinism golden ------------------
 
-// Runs the fixed statement script against a fresh engine/log pair and
-// returns the timing-stripped JSONL.
-std::string RunEngineScript(const Table* table) {
-  Engine engine;
+struct ScriptRun {
+  std::string jsonl;                   // timing-stripped query log
+  std::vector<std::string> responses;  // one payload per request
+};
+
+// Sends the fixed statement script as OPEN and EXEC frames to a fresh
+// dispatcher/log pair.
+ScriptRun RunDispatcherScript(const Table* table) {
   QueryLog log;
-  engine.RegisterTable("UsedCars", table);
-  engine.SetQueryLog(&log, "repl");
-  auto run = [&](const std::string& sql) { (void)engine.ExecuteSql(sql); };
-  run("SELECT COUNT(*) FROM UsedCars");
-  run("select   count(*)   from UsedCars");  // canonicalizes to the same text
-  run("CREATE CADVIEW v AS SET pivot = Make SELECT Price, Mileage FROM "
-      "UsedCars WHERE BodyType = SUV LIMIT COLUMNS 2 IUNITS 2");
-  run("SELECT * FROM Nope");       // NotFound
-  run("SELEKT nonsense");          // parse error
-  return log.ToJsonl(/*include_timings=*/false);
+  server::ServerOptions options;
+  options.query_log = &log;
+  server::Dispatcher dispatcher(std::move(options));
+  dispatcher.RegisterTable("UsedCars", table);
+
+  auto [client, conn] = server::LoopbackPair();
+  for (const char* request : {
+           "OPEN",
+           "EXEC s1 SELECT COUNT(*) FROM UsedCars",
+           // canonicalizes to the same text
+           "EXEC s1 select   count(*)   from UsedCars",
+           "EXEC s1 CREATE CADVIEW v AS SET pivot = Make SELECT Price, "
+           "Mileage FROM UsedCars WHERE BodyType = SUV LIMIT COLUMNS 2 "
+           "IUNITS 2",
+           "EXEC s1 SELECT * FROM Nope",  // NotFound
+           "EXEC s1 SELEKT nonsense",     // parse error
+       }) {
+    auto frame = server::EncodeFrame(request);
+    EXPECT_TRUE(frame.ok());
+    EXPECT_TRUE(client->Write(*frame).ok());
+  }
+  client->CloseWrite();
+  dispatcher.ServeConnection(conn.get());
+
+  ScriptRun run;
+  server::FrameDecoder decoder;
+  for (;;) {
+    auto chunk = client->Read(64u << 10);
+    if (!chunk.ok() || chunk->empty()) break;
+    EXPECT_TRUE(decoder.Feed(*chunk).ok());
+  }
+  while (auto payload = decoder.Next()) run.responses.push_back(*payload);
+  run.jsonl = log.ToJsonl(/*include_timings=*/false);
+  return run;
 }
 
 TEST(QueryLogEngineTest, StrippedJsonlIsByteIdenticalRunToRun) {
   Table table = GenerateUsedCars(800, 3);
-  const std::string first = RunEngineScript(&table);
-  const std::string second = RunEngineScript(&table);
-  EXPECT_EQ(first, second);
+  const ScriptRun first = RunDispatcherScript(&table);
+  const ScriptRun second = RunDispatcherScript(&table);
+  EXPECT_EQ(first.jsonl, second.jsonl);
 
-  std::istringstream in(first);
+  std::istringstream in(first.jsonl);
   std::vector<std::string> lines;
   std::string line;
   while (std::getline(in, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 5u);
+  ASSERT_EQ(lines.size(), 5u);  // one per EXEC; OPEN is not a statement
+  ASSERT_EQ(first.responses.size(), 6u);
   // Statements are logged in canonical form, so the two COUNT(*) spellings
   // produce identical statement fields.
-  EXPECT_NE(lines[0].find("\"session\":\"repl\""), std::string::npos);
+  EXPECT_NE(lines[0].find("\"session\":\"s1\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"status\":\"OK\""), std::string::npos);
   const auto stmt_of = [](const std::string& l) {
     size_t b = l.find("\"statement\":");
@@ -238,13 +270,19 @@ TEST(QueryLogEngineTest, StrippedJsonlIsByteIdenticalRunToRun) {
     return l.substr(b, e - b);
   };
   EXPECT_EQ(stmt_of(lines[0]), stmt_of(lines[1]));
-  // No cache attached: CREATE CADVIEW probes report "no-cache".
-  EXPECT_NE(lines[2].find("\"cache\":\"no-cache\""), std::string::npos);
+  // The dispatcher's sessions share its cache: a first build misses.
+  EXPECT_NE(lines[2].find("\"cache\":\"miss\""), std::string::npos);
   EXPECT_NE(lines[3].find("\"status\":\"NotFound\""), std::string::npos);
   EXPECT_NE(lines[4].find("\"status\":\"InvalidArgument\""),
             std::string::npos);
-  // Failed statements render nothing.
-  EXPECT_NE(lines[4].find("\"response_bytes\":0"), std::string::npos);
+  // Every record counts the bytes of the payload its EXEC answered with,
+  // error payloads included.
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const std::string bytes =
+        "\"response_bytes\":" + std::to_string(first.responses[i + 1].size()) +
+        "}";
+    EXPECT_NE(lines[i].find(bytes), std::string::npos) << lines[i];
+  }
 }
 
 // --- concurrency hammer (the TSAN tier runs this suite) -------------------

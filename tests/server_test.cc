@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -740,6 +742,190 @@ TEST_F(ServerTest, QueryLogCrossChecksCacheStatsAndMetrics) {
 
   // And the request counter saw every frame (OPENs included).
   EXPECT_EQ(metrics_.GetCounter("dbx_server_requests_total")->Value(), 7u);
+}
+
+// The dispatcher that owns a statement records its metrics, build and cache
+// series included, into its own registry — and nowhere else.
+TEST_F(ServerTest, StatementsRecordIntoTheirDispatchersRegistry) {
+  MetricsRegistry other_metrics;
+  ServerOptions other_options;
+  other_options.metrics = &other_metrics;
+  Dispatcher other(std::move(other_options));
+  other.RegisterTable("UsedCars", table_);
+
+  QueryLog log;
+  ServerOptions options;
+  options.query_log = &log;
+  auto d = MakeDispatcher(std::move(options));
+  ASSERT_TRUE(DecodeResponse(RunScript(d.get(), {"OPEN", ExecCadView("s1")})[1])
+                  ->status.ok());
+  auto r2 = RunScript(d.get(), {"OPEN", ExecCadView("s2"),
+                                "EXEC s2 SELECT COUNT(*) FROM UsedCars"});
+  ASSERT_EQ(r2.size(), 3u);
+  ASSERT_TRUE(DecodeResponse(r2[2])->status.ok());
+  auto r3 =
+      RunScript(&other, {"OPEN", "EXEC s1 SELECT COUNT(*) FROM UsedCars"});
+  ASSERT_EQ(r3.size(), 2u);
+  ASSERT_TRUE(DecodeResponse(r3[1])->status.ok());
+
+  EXPECT_EQ(metrics_.GetCounter("dbx_query_statements_total")->Value(), 3u);
+  EXPECT_EQ(metrics_.GetCounter("dbx_query_create_cadview_total")->Value(), 2u);
+  EXPECT_EQ(metrics_.GetCounter("dbx_query_select_total")->Value(), 1u);
+  EXPECT_EQ(metrics_.GetCounter("dbx_core_builds_total")->Value(), 1u);
+  EXPECT_EQ(metrics_.GetHistogram("dbx_core_build_ms")->Count(), 1u);
+  for (std::string stage : {"discretize", "compare_attrs", "iunit_gen",
+                             "topk"}) {
+    EXPECT_EQ(metrics_.GetHistogram("dbx_core_build_" + stage + "_ms")->Count(),
+              1u)
+        << stage;
+  }
+  EXPECT_EQ(metrics_.GetCounter("dbx_cache_misses_total")->Value(), 1u);
+  EXPECT_EQ(metrics_.GetCounter("dbx_cache_hits_total")->Value(), 1u);
+  // One timing per EXEC: the statement histogram holds exactly the totals
+  // the query log recorded.
+  const Histogram* statement_ms =
+      metrics_.GetHistogram("dbx_query_statement_ms");
+  ASSERT_EQ(statement_ms->Count(), log.Records().size());
+  double logged_ms = 0.0;
+  for (const QueryLogRecord& rec : log.Records()) logged_ms += rec.total_ms;
+  EXPECT_DOUBLE_EQ(statement_ms->Sum(), logged_ms);
+
+  // The other dispatcher built nothing and probed nothing.
+  EXPECT_EQ(other_metrics.GetCounter("dbx_query_statements_total")->Value(),
+            1u);
+  std::istringstream text(other_metrics.PrometheusText());
+  std::string line;
+  while (std::getline(text, line)) {
+    if (line.rfind("dbx_core_", 0) != 0 && line.rfind("dbx_cache_", 0) != 0) {
+      continue;
+    }
+    EXPECT_EQ(line.substr(line.rfind(' ') + 1), "0") << line;
+  }
+}
+
+// A statement queued behind its session's previous statement spends that
+// time in its session_wait stage, inside its exec span.
+TEST_F(ServerTest, QueuedStatementRecordsItsSessionWait) {
+  Tracer tracer;
+  QueryLog log;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool holding = false;     // the first statement is inside the hook
+  bool second_sent = false;
+  ServerOptions options;
+  options.tracer = &tracer;
+  options.query_log = &log;
+  options.exec_hook_for_test = [&](const std::string&) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (holding) return;  // the queued statement runs straight through
+    holding = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return second_sent; });
+    lock.unlock();
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  };
+  auto d = MakeDispatcher(std::move(options));
+
+  Dispatcher::ConnectionScope conn1, conn2;
+  ASSERT_EQ(d->HandleRequest("OPEN", &conn1), "OK\ns1");
+  std::thread first([&] {
+    EXPECT_EQ(d->HandleRequest(
+                   "EXEC @trace=first s1 SELECT COUNT(*) FROM UsedCars", &conn1)
+                  .rfind("OK", 0),
+              0u);
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return holding; });
+    second_sent = true;
+    cv.notify_all();
+  }
+  const std::string second = d->HandleRequest(
+      "EXEC @trace=second s1 SELECT COUNT(*) FROM UsedCars", &conn2);
+  first.join();
+  EXPECT_EQ(second.rfind("OK", 0), 0u) << second;
+
+  const std::vector<QueryLogRecord> records = log.Records();
+  const QueryLogRecord* queued = nullptr;
+  for (const QueryLogRecord& rec : records) {
+    if (rec.trace == "second") queued = &rec;
+  }
+  ASSERT_NE(queued, nullptr);
+  double wait_ms = -1.0;
+  for (const auto& [name, ms] : queued->stages) {
+    if (name == "session_wait") wait_ms = ms;
+  }
+  EXPECT_GE(wait_ms, 25.0) << "session_wait stage missing or too short";
+  EXPECT_GE(queued->total_ms, wait_ms);
+}
+
+// Stages are read from the spans that opened after the statement's root,
+// outside the session lock. On a ring already wrapped by other statements'
+// spans, with more of them and another session's landing between this
+// statement's, each record must still hold exactly what the whole ring
+// yields for its root.
+TEST_F(ServerTest, StagesComeFromTheStatementsOwnSpans) {
+  Tracer tracer(4096);
+  auto foreign_statement = [&tracer] {
+    const uint64_t root = tracer.Emit("exec", 0, tracer.NowNs(), 1000);
+    tracer.Emit("foreign", root, tracer.NowNs(), 500);
+  };
+  for (int i = 0; i < 3000; ++i) foreign_statement();
+  ASSERT_GT(tracer.dropped(), 0u);
+  QueryLog log;
+  ServerOptions options;
+  options.tracer = &tracer;
+  options.query_log = &log;
+  auto d = MakeDispatcher(std::move(options));
+  ASSERT_EQ(d->HandleRequest("OPEN", nullptr), "OK\ns1");
+  ASSERT_EQ(d->HandleRequest("OPEN", nullptr), "OK\ns2");
+
+  auto run_session = [&](const std::string& sid, const std::string& where) {
+    for (int i = 0; i < 4; ++i) {
+      const std::string sql =
+          i < 3 ? "CREATE CADVIEW v AS SET pivot = Make SELECT Price, "
+                  "Mileage FROM UsedCars WHERE " +
+                      where + " LIMIT COLUMNS 2 IUNITS " +
+                      std::to_string(i + 1)
+                : "SELECT COUNT(*) FROM UsedCars";
+      const std::string response = d->HandleRequest(
+          "EXEC @trace=" + sid + "-" + std::to_string(i) + " " + sid + " " +
+              sql,
+          nullptr);
+      EXPECT_EQ(response.rfind("OK", 0), 0u) << response;
+    }
+  };
+  std::thread noise([&] {
+    for (int i = 0; i < 400; ++i) {
+      foreign_statement();
+      std::this_thread::yield();
+    }
+  });
+  std::thread a([&] { run_session("s1", "BodyType = SUV"); });
+  std::thread b([&] { run_session("s2", "BodyType = Sedan"); });
+  a.join();
+  b.join();
+  noise.join();
+
+  const std::vector<TraceEvent> ring = tracer.Events();
+  const std::vector<QueryLogRecord> records = log.Records();
+  ASSERT_EQ(records.size(), 8u);
+  for (const QueryLogRecord& rec : records) {
+    const TraceEvent* root = nullptr;
+    for (const TraceEvent& e : ring) {
+      if (e.name == "exec" && e.parent == 0 &&
+          e.args.find("trace=" + rec.trace) != std::string::npos) {
+        root = &e;
+      }
+    }
+    ASSERT_NE(root, nullptr) << rec.trace << " fell out of the ring";
+    EXPECT_EQ(rec.stages, StageLatenciesFromSpans(ring, root->id))
+        << rec.trace;
+    EXPECT_FALSE(rec.stages.empty()) << rec.trace;
+    for (const auto& [name, ms] : rec.stages) {
+      EXPECT_NE(name, "foreign") << rec.trace;
+    }
+  }
 }
 
 TEST_F(ServerTest, MergedTraceCarriesClientTraceIdsAcrossTheWire) {

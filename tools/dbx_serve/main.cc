@@ -187,7 +187,10 @@ int main(int argc, char** argv) {
                 slow_ms, query_log_slow_only ? ", slow-only" : "");
   }
 
-  options.metrics = dbx::MetricsRegistry::Global();
+  // One registry for the process: the dispatcher records into it and the
+  // scrape port serves it.
+  dbx::MetricsRegistry metrics;
+  options.metrics = &metrics;
   options.tracer = &tracer;
   options.query_log = &query_log;
   dbx::server::Dispatcher dispatcher(std::move(options));
@@ -237,7 +240,7 @@ int main(int argc, char** argv) {
   server.Start();
   dbx::Stopwatch uptime;
   dbx::server::DebugEndpoints endpoints;
-  endpoints.metrics = dbx::MetricsRegistry::Global();
+  endpoints.metrics = &metrics;
   endpoints.statusz = [&dispatcher] { return dispatcher.RenderStatusz(); };
   endpoints.uptime_seconds = [&uptime] {
     return uptime.ElapsedNanos() / 1e9;
