@@ -54,14 +54,13 @@ ctest --test-dir build -L storage --output-on-failure || fail "storage tests"
 # instead of gating on them.
 BENCHDIFF=build/tools/dbx_benchdiff/dbx_benchdiff
 "$BENCHDIFF" --self-test || fail "benchdiff self-test"
-if "$BENCHDIFF" --baseline bench/baselines/BENCH_server.json \
-    --current bench/baselines/BENCH_server.json \
+if "$BENCHDIFF" --baseline bench/baselines/BENCH_scale.json \
+    --current bench/baselines/BENCH_scale.json \
     --seed-regression p95_ms:1.3 >/dev/null; then
   fail "benchdiff missed a seeded p95 regression"
 fi
 if [ "${DBX_UPDATE_BASELINES:-0}" = "1" ]; then
-  cp build/BENCH_server.json build/BENCH_scale.json \
-     build/BENCH_storage.json bench/baselines/ \
+  cp build/BENCH_scale.json build/BENCH_storage.json bench/baselines/ \
     || fail "baseline refresh"
   echo "bench baselines refreshed from build/"
 else
@@ -71,12 +70,11 @@ else
     || fail "bench trend regression (rerun with DBX_UPDATE_BASELINES=1 after an intended change)"
 fi
 
-# Re-run the test tiers with the threaded and sharded paths forced on: the
-# parallel tests read DBX_TEST_THREADS / DBX_TEST_SHARDS and add those counts
-# to their sweeps (thread count never changes output; shard count must not
-# either — the byte-identity suites fail loudly if it does).
-DBX_TEST_THREADS=4 DBX_TEST_SHARDS=8 ctest --test-dir build \
-  -L 'unit|integration' --output-on-failure || fail "threaded/sharded re-run"
+# Re-run the test tiers with the threaded paths forced on: the parallel tests
+# read DBX_TEST_THREADS and add that count to their sweeps (thread count never
+# changes output — the byte-identity suites fail loudly if it does).
+DBX_TEST_THREADS=4 ctest --test-dir build \
+  -L 'unit|integration' --output-on-failure || fail "threaded re-run"
 
 # UBSan tier: rebuild with -fsanitize=undefined (no-recover) and run the
 # full unit tier. Catches signed overflow, bad shifts, misaligned access.

@@ -4,12 +4,9 @@
 #include <cmath>
 
 #include "src/cluster/cluster_metrics.h"
-#include "src/cluster/coreset.h"
 #include "src/cluster/kmeans.h"
 #include "src/core/iunit_similarity.h"
-#include "src/core/sharded.h"
 #include "src/stats/sampling.h"
-#include "src/util/shard.h"
 #include "src/util/stopwatch.h"
 #include "src/util/thread_pool.h"
 
@@ -22,6 +19,27 @@ struct PivotPlan {
   std::vector<int32_t> value_codes;       // selected pivot codes, view order
   std::vector<std::string> value_labels;  // parallel
 };
+
+// One pass over the pivot column: each code's member rows, ascending. Codes
+// are ascending and only non-empty ones are listed; negative codes (nulls)
+// join no partition.
+PartitionSeed ScanPartitions(const DiscreteAttr& pivot) {
+  std::vector<std::vector<size_t>> members(pivot.cardinality());
+  for (size_t i = 0; i < pivot.codes.size(); ++i) {
+    const int32_t c = pivot.codes[i];
+    if (c >= 0 && static_cast<size_t>(c) < members.size()) {
+      members[static_cast<size_t>(c)].push_back(i);
+    }
+  }
+  PartitionSeed seed;
+  for (size_t c = 0; c < members.size(); ++c) {
+    if (!members[c].empty()) {
+      seed.members_by_code.emplace_back(static_cast<int32_t>(c),
+                                        std::move(members[c]));
+    }
+  }
+  return seed;
+}
 
 // Reads the selected values' codes, and for the default selection their
 // frequencies, from the partition seed. Explicit values resolve against the
@@ -114,26 +132,10 @@ Result<CadView> BuildCadViewFromDiscretized(const DiscretizedTable& dt,
   }
 
   // Every build partitions through a PartitionSeed: the caller's (the view
-  // cache refining a previous selection context) or one scanned here from
-  // the pivot column (DESIGN.md §13). A sharded scan gets its own span ahead
-  // of `partition`; the one-shard scan is the partition stage itself.
-  const size_t effective_shards = EffectiveShardCount(
-      dt.num_rows(), options.sharding.num_shards,
-      options.sharding.min_rows_per_shard);
-  PartitionSeed scanned;
-  auto scan = [&]() -> Status {
-    DBX_ASSIGN_OR_RETURN(
-        scanned, BuildShardedPartitionSeed(dt, *pivot_index, options.sharding,
-                                           options.num_threads));
-    return Status::OK();
-  };
-  if (seed == nullptr && effective_shards > 1) {
-    ScopedSpan shard_span(options.tracer, "shard_scan", options.trace_parent);
-    shard_span.AddArg("shards", static_cast<uint64_t>(effective_shards));
-    DBX_RETURN_IF_ERROR(scan());
-  }
+  // cache refining a previous selection context) or one scanned here.
   ScopedSpan partition_span(options.tracer, "partition", options.trace_parent);
-  if (seed == nullptr && effective_shards <= 1) DBX_RETURN_IF_ERROR(scan());
+  PartitionSeed scanned;
+  if (seed == nullptr) scanned = ScanPartitions(dt.attr(*pivot_index));
   const PartitionSeed& source = seed != nullptr ? *seed : scanned;
 
   DBX_ASSIGN_OR_RETURN(PivotPlan plan,
@@ -180,9 +182,8 @@ Result<CadView> BuildCadViewFromDiscretized(const DiscretizedTable& dt,
 
   partition_span.AddArg("partitions", static_cast<uint64_t>(partitions.size()));
   partition_span.AddArg("rows", static_cast<uint64_t>(pivot.codes.size()));
-  // "seeded": the member lists were not scanned inside this span.
-  partition_span.AddArg(
-      "seeded", seed != nullptr || effective_shards > 1 ? "yes" : "no");
+  // "seeded": the member lists came from the caller, not a scan.
+  partition_span.AddArg("seeded", seed != nullptr ? "yes" : "no");
   partition_span.End();
 
   CadView view;
@@ -193,7 +194,6 @@ Result<CadView> BuildCadViewFromDiscretized(const DiscretizedTable& dt,
 
   FeatureSelectionOptions fs_options = options.feature_selection;
   fs_options.num_threads = options.num_threads;
-  fs_options.num_shards = effective_shards;
   fs_options.tracer = options.tracer;
   fs_options.trace_parent = options.trace_parent;
 
@@ -326,21 +326,10 @@ Result<CadView> BuildCadViewFromDiscretized(const DiscretizedTable& dt,
     }
     l = std::max<size_t>(1, l);
 
-    // Optimization 1b: cluster over a sample of the partition. The coreset
-    // mode (DESIGN.md §13) takes precedence: a bottom-k hash sample whose
-    // membership depends only on (seed, row id), so sharded 100M-row builds
-    // stay byte-identical across shard counts.
+    // Optimization 1b: cluster over a sample of the partition.
     std::vector<size_t> cluster_members;
-    if (options.sharding.coreset_clustering &&
-        options.sharding.coreset_budget > 0 &&
-        options.sharding.coreset_budget < members.size()) {
-      CoresetSketch sketch = BuildCoresetSketch(
-          members, 0, members.size(),
-          options.seed ^ (0xD1B54A32D192ED03ULL * (v + 1)),
-          options.sharding.coreset_budget);
-      cluster_members = CoresetMembers(sketch);
-    } else if (options.clustering_sample > 0 &&
-               options.clustering_sample < members.size()) {
+    if (options.clustering_sample > 0 &&
+        options.clustering_sample < members.size()) {
       RowSet as_rows(members.begin(), members.end());
       RowSet sampled =
           SampleRows(as_rows, options.clustering_sample, &part_rng);

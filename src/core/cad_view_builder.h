@@ -26,31 +26,6 @@ namespace dbx {
 /// candidate IUnit; higher is better. Default ranks by cluster size.
 using IUnitPreference = std::function<double(const IUnit&)>;
 
-/// Horizontal sharding of the build's table scans (DESIGN.md §13): the rows
-/// split into `num_shards` contiguous ranges, and pivot partitioning plus
-/// Compare-Attribute contingency counting run one task per shard, merging
-/// per-shard sketches associatively. The merges are exact — integer count
-/// addition and sorted unions of disjoint member lists — so the built view is
-/// byte-identical for any shard count, extending the num_threads determinism
-/// contract to num_shards. ViewCache fingerprints therefore exclude
-/// num_shards/min_rows_per_shard but include the coreset knobs, which change
-/// which rows are clustered.
-struct ShardOptions {
-  /// Requested shard count (1 = unsharded). Clamped so every shard holds at
-  /// least `min_rows_per_shard` rows.
-  size_t num_shards = 1;
-  size_t min_rows_per_shard = 1024;
-
-  /// Out-of-core-scale approximation: cluster each pivot partition over a
-  /// bounded uniform coreset (a mergeable bottom-k hash sample of at most
-  /// `coreset_budget` rows) instead of every member. Membership depends only
-  /// on (seed, row id), never on shard boundaries, so byte-identity across
-  /// shard counts still holds; like clustering_sample, labels and
-  /// frequencies reflect the sample.
-  bool coreset_clustering = false;
-  size_t coreset_budget = 4096;
-};
-
 struct CadViewOptions {
   /// The Pivot Attribute f_p (must name an attribute of the table).
   std::string pivot_attr;
@@ -107,10 +82,6 @@ struct CadViewOptions {
   /// byte-identical for any value — work is assigned by index into fixed
   /// result slots and reduced in a fixed order.
   size_t num_threads = 1;
-
-  /// Horizontal sharding of the partition and contingency scans; see
-  /// ShardOptions. Defaults to unsharded.
-  ShardOptions sharding;
 
   // ----- §6.3 optimizations -------------------------------------------------
 

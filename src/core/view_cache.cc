@@ -148,12 +148,6 @@ std::optional<std::string> CadViewOptionsFingerprint(
   add("adl", options.adaptive_l ? "1" : "0");
   add("adlt", std::to_string(options.adaptive_l_threshold));
   add("adlm", std::to_string(options.adaptive_l_min));
-  // Shard policy (sharding.num_shards / min_rows_per_shard) is deliberately
-  // absent, like num_threads: the sharded scans merge to exactly the
-  // single-pass tables, so the same logical view maps to the same key. The
-  // coreset knobs DO change which rows are clustered, so they fingerprint.
-  add("ccl", options.sharding.coreset_clustering ? "1" : "0");
-  add("ccb", std::to_string(options.sharding.coreset_budget));
   return fp;
 }
 

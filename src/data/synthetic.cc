@@ -239,24 +239,22 @@ Result<DiscretizedTable> ScaledUsedCars::Discretize(
     return Status::InvalidArgument("max_numeric_bins must be >= 1");
   }
   const ScaledDomains domains;
-  size_t shards =
-      EffectiveShardCount(rows_, std::max<size_t>(1, options.num_shards), 1);
-  std::vector<ShardRange> ranges = MakeShardRanges(rows_, shards);
+  std::vector<ShardRange> ranges = MakeShardRanges(rows_, options.num_threads);
 
-  // Pass 1 (sharded): per-shard first-appearance row of every categorical
-  // value — merged by min, this reproduces DiscretizedTable::Build's
-  // first-appearance label compaction exactly — plus, in exact binning mode,
-  // the numeric values in row order.
+  // Pass 1 (one task per range): per-range first-appearance row of every
+  // categorical value — merged by min, this reproduces
+  // DiscretizedTable::Build's first-appearance label compaction exactly —
+  // plus, in exact binning mode, the numeric values in row order.
   constexpr size_t kAbsent = static_cast<size_t>(-1);
   const bool exact_bins = options.bin_sample == 0;
-  struct ShardScan {
+  struct RangeScan {
     std::array<std::vector<size_t>, kCatAttrs> first_row;
     std::array<std::vector<double>, kNumAttrs> values;
   };
-  std::vector<ShardScan> scans(ranges.size());
+  std::vector<RangeScan> scans(ranges.size());
   DBX_RETURN_IF_ERROR(ParallelFor(
       options.num_threads, 0, ranges.size(), 1, [&](size_t s) -> Status {
-        ShardScan& scan = scans[s];
+        RangeScan& scan = scans[s];
         for (size_t a = 0; a < kCatAttrs; ++a) {
           scan.first_row[a].assign(domains.values[a].size(), kAbsent);
         }
@@ -289,7 +287,7 @@ Result<DiscretizedTable> ScaledUsedCars::Discretize(
   std::array<std::vector<std::string>, kCatAttrs> labels;
   for (size_t a = 0; a < kCatAttrs; ++a) {
     std::vector<size_t> first(domains.values[a].size(), kAbsent);
-    for (const ShardScan& scan : scans) {
+    for (const RangeScan& scan : scans) {
       for (size_t code = 0; code < first.size(); ++code) {
         first[code] = std::min(first[code], scan.first_row[a][code]);
       }
@@ -306,16 +304,16 @@ Result<DiscretizedTable> ScaledUsedCars::Discretize(
     }
   }
 
-  // Numeric bins: from every value (exact mode, concatenating the per-shard
-  // vectors in shard order = row order) or from a deterministic strided row
-  // sample — shard-independent either way, so the bins (and hence every
-  // code) are byte-identical for any shard count.
+  // Numeric bins: from every value (exact mode, concatenating the per-range
+  // vectors in range order = row order) or from a deterministic strided row
+  // sample — independent of the split either way, so the bins (and hence
+  // every code) are byte-identical for any thread count.
   std::array<Bins, kNumAttrs> bins;
   for (size_t j = 0; j < kNumAttrs; ++j) {
     std::vector<double> vals;
     if (exact_bins) {
       vals.reserve(rows_);
-      for (const ShardScan& scan : scans) {
+      for (const RangeScan& scan : scans) {
         vals.insert(vals.end(), scan.values[j].begin(), scan.values[j].end());
       }
     } else {
@@ -332,7 +330,7 @@ Result<DiscretizedTable> ScaledUsedCars::Discretize(
   }
   scans.clear();
 
-  // Pass 2 (sharded): fill the code columns.
+  // Pass 2 (one task per range): fill the code columns.
   std::array<std::vector<int32_t>, kCatAttrs> cat_codes;
   std::array<std::vector<int32_t>, kNumAttrs> num_codes;
   for (size_t a = 0; a < kCatAttrs; ++a) cat_codes[a].resize(rows_);

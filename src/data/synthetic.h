@@ -41,19 +41,18 @@ struct SyntheticSpec {
 /// Controls for ScaledUsedCars::Discretize.
 struct ScaledDiscretizeOptions {
   DiscretizerOptions discretizer;
-  /// Degree of parallelism for the shard scans (1 = serial).
+  /// Degree of parallelism (1 = serial). Both generation passes split the
+  /// rows into this many contiguous ranges, one task each. Output is
+  /// byte-identical for any value: categorical first-appearance orders merge
+  /// by min row index and numeric bins come from a row set that does not
+  /// depend on the split.
   size_t num_threads = 1;
-  /// Contiguous row shards for the two generation passes (1 = single pass).
-  /// Output is byte-identical for any shard/thread count: categorical
-  /// first-appearance orders merge by min row index and numeric bins come
-  /// from a shard-independent row set.
-  size_t num_shards = 1;
   /// 0 = bin numeric attributes from every row — exact, equal to
   /// DiscretizedTable::Build over the materialized table, but O(rows)
   /// doubles of memory per numeric attribute. Otherwise bin from a
   /// deterministic strided sample of about this many rows (the paper's §6.3
-  /// "sample once" idea applied to generation scale); shard-independent, so
-  /// byte-identity across shard counts still holds.
+  /// "sample once" idea applied to generation scale); the sample does not
+  /// depend on the split either.
   size_t bin_sample = 0;
 };
 
@@ -85,8 +84,8 @@ class ScaledUsedCars {
   /// The whole dataset as a Table — small scales only (tests, goldens).
   [[nodiscard]] Result<Table> Materialize() const;
 
-  /// Streams the dataset straight into a DiscretizedTable — the sharded CAD
-  /// View builder's out-of-core entry point; the ~4.4 GB of Value strings a
+  /// Streams the dataset straight into a DiscretizedTable — the CAD View
+  /// builder's out-of-core entry point; the ~4.4 GB of Value strings a
   /// 100M-row Table would hold are never created. With bin_sample == 0 the
   /// result equals DiscretizedTable::Build over Materialize() exactly.
   [[nodiscard]] Result<DiscretizedTable> Discretize(

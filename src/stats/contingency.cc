@@ -11,30 +11,13 @@ ContingencyTable ContingencyTable::FromCodes(const std::vector<int32_t>& a,
                                              size_t a_card,
                                              const std::vector<int32_t>& b,
                                              size_t b_card) {
-  return FromCodesRange(a, a_card, b, b_card, 0, std::min(a.size(), b.size()));
-}
-
-ContingencyTable ContingencyTable::FromCodesRange(
-    const std::vector<int32_t>& a, size_t a_card,
-    const std::vector<int32_t>& b, size_t b_card, size_t begin, size_t end) {
   ContingencyTable t(a_card, b_card);
-  size_t n = std::min({a.size(), b.size(), end});
-  for (size_t i = begin; i < n; ++i) {
+  size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
     if (a[i] < 0 || b[i] < 0) continue;
     t.Add(static_cast<size_t>(a[i]), static_cast<size_t>(b[i]));
   }
   return t;
-}
-
-Status ContingencyTable::MergeFrom(const ContingencyTable& other) {
-  if (other.rows_ != rows_ || other.cols_ != cols_) {
-    return Status::InvalidArgument("contingency merge dimension mismatch");
-  }
-  for (size_t i = 0; i < cells_.size(); ++i) cells_[i] += other.cells_[i];
-  for (size_t r = 0; r < rows_; ++r) row_totals_[r] += other.row_totals_[r];
-  for (size_t c = 0; c < cols_; ++c) col_totals_[c] += other.col_totals_[c];
-  grand_total_ += other.grand_total_;
-  return Status::OK();
 }
 
 ChiSquareResult ChiSquareTest(const ContingencyTable& t) {

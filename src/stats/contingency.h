@@ -23,20 +23,6 @@ class ContingencyTable {
   static ContingencyTable FromCodes(const std::vector<int32_t>& a, size_t a_card,
                                     const std::vector<int32_t>& b, size_t b_card);
 
-  /// As FromCodes, but counts only positions [begin, end) — one shard's
-  /// contribution. Summing the per-shard tables with MergeFrom reproduces the
-  /// full-vector table exactly: cells are uint64 counts, whose addition is
-  /// associative and commutative, so the merge is exact for any shard
-  /// decomposition and any merge order (DESIGN.md §13).
-  static ContingencyTable FromCodesRange(const std::vector<int32_t>& a,
-                                         size_t a_card,
-                                         const std::vector<int32_t>& b,
-                                         size_t b_card, size_t begin,
-                                         size_t end);
-
-  /// Adds `other`'s counts cell-wise. Fails when dimensions differ.
-  [[nodiscard]] Status MergeFrom(const ContingencyTable& other);
-
   void Add(size_t r, size_t c, uint64_t n = 1) {
     cells_[r * cols_ + c] += n;
     row_totals_[r] += n;

@@ -67,7 +67,7 @@ class DiscretizedTable {
 
   /// Assembles a discretization directly from per-attribute parts (e.g.
   /// DiscretizeColumn results). The streaming generators (ScaledUsedCars in
-  /// src/data/synthetic.h) compute codes shard-parallel without ever
+  /// src/data/synthetic.h) compute codes range-parallel without ever
   /// materializing a Value table; `rows` indexes the virtual base table and
   /// every attribute's codes must be parallel to it. Fails on a length
   /// mismatch.

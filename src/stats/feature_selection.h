@@ -45,11 +45,6 @@ struct FeatureSelectionOptions {
   /// (1 = serial). The ranking is identical for any value: scores land in
   /// per-candidate slots and are sorted afterwards.
   size_t num_threads = 1;
-  /// Split each candidate's contingency count into this many contiguous row
-  /// shards, counted in parallel and merged in shard order (1 = single
-  /// pass). uint64 count addition is exact, so the merged tables — and the
-  /// ranking — are byte-identical for any value (DESIGN.md §13).
-  size_t num_shards = 1;
   /// Observability knobs: like num_threads they never change the ranking, so
   /// the cache fingerprint excludes them. Never null — default is the no-op
   /// tracer.

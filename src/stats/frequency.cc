@@ -3,45 +3,13 @@
 #include <algorithm>
 
 namespace dbx {
-namespace {
-
-// Entries sorted by descending count, ties by code — shared by construction
-// and merge so the display order is always derived from the current counts.
-std::vector<FrequencyEntry> SortedEntries(const std::vector<uint64_t>& counts,
-                                          const std::vector<std::string>& labels) {
-  std::vector<FrequencyEntry> sorted;
-  sorted.reserve(counts.size());
-  for (size_t c = 0; c < counts.size(); ++c) {
-    FrequencyEntry e;
-    e.code = static_cast<int32_t>(c);
-    e.label = c < labels.size() ? labels[c] : std::string();
-    e.count = counts[c];
-    sorted.push_back(std::move(e));
-  }
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const FrequencyEntry& a, const FrequencyEntry& b) {
-                     if (a.count != b.count) return a.count > b.count;
-                     return a.code < b.code;
-                   });
-  return sorted;
-}
-
-}  // namespace
 
 FrequencyTable FrequencyTable::FromCodes(const std::vector<int32_t>& codes,
                                          size_t cardinality,
                                          const std::vector<std::string>& labels) {
-  return FromCodesRange(codes, cardinality, labels, 0, codes.size());
-}
-
-FrequencyTable FrequencyTable::FromCodesRange(
-    const std::vector<int32_t>& codes, size_t cardinality,
-    const std::vector<std::string>& labels, size_t begin, size_t end) {
   FrequencyTable t;
   t.counts_.assign(cardinality, 0);
-  end = std::min(end, codes.size());
-  for (size_t i = begin; i < end; ++i) {
-    int32_t c = codes[i];
+  for (int32_t c : codes) {
     if (c < 0) {
       ++t.null_count_;
     } else if (static_cast<size_t>(c) < cardinality) {
@@ -49,25 +17,20 @@ FrequencyTable FrequencyTable::FromCodesRange(
       ++t.total_;
     }
   }
-  t.sorted_ = SortedEntries(t.counts_, labels);
+  t.sorted_.reserve(cardinality);
+  for (size_t c = 0; c < cardinality; ++c) {
+    FrequencyEntry e;
+    e.code = static_cast<int32_t>(c);
+    e.label = c < labels.size() ? labels[c] : std::string();
+    e.count = t.counts_[c];
+    t.sorted_.push_back(std::move(e));
+  }
+  std::stable_sort(t.sorted_.begin(), t.sorted_.end(),
+                   [](const FrequencyEntry& a, const FrequencyEntry& b) {
+                     if (a.count != b.count) return a.count > b.count;
+                     return a.code < b.code;
+                   });
   return t;
-}
-
-Status FrequencyTable::MergeFrom(const FrequencyTable& other) {
-  if (other.counts_.size() != counts_.size()) {
-    return Status::InvalidArgument("frequency merge domain mismatch");
-  }
-  for (size_t c = 0; c < counts_.size(); ++c) counts_[c] += other.counts_[c];
-  total_ += other.total_;
-  null_count_ += other.null_count_;
-  std::vector<std::string> labels(counts_.size());
-  for (const FrequencyEntry& e : sorted_) {
-    if (e.code >= 0 && static_cast<size_t>(e.code) < labels.size()) {
-      labels[static_cast<size_t>(e.code)] = e.label;
-    }
-  }
-  sorted_ = SortedEntries(counts_, labels);
-  return Status::OK();
 }
 
 std::vector<double> FrequencyTable::AsVector() const {

@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "src/util/status.h"
-
 namespace dbx {
 
 /// (value label, count) with counts sorted descending for display.
@@ -27,20 +25,6 @@ class FrequencyTable {
   static FrequencyTable FromCodes(const std::vector<int32_t>& codes,
                                   size_t cardinality,
                                   const std::vector<std::string>& labels);
-
-  /// As FromCodes over positions [begin, end) only — one shard's frequency
-  /// sketch. Per-shard tables combined with MergeFrom equal the full-vector
-  /// table exactly for any shard decomposition and merge order: counts are
-  /// uint64 sums and the display order is re-derived from the merged counts
-  /// (DESIGN.md §13).
-  static FrequencyTable FromCodesRange(const std::vector<int32_t>& codes,
-                                       size_t cardinality,
-                                       const std::vector<std::string>& labels,
-                                       size_t begin, size_t end);
-
-  /// Adds `other`'s counts (and null tally) and re-sorts the display order.
-  /// Fails when the domains (count vector sizes) differ.
-  [[nodiscard]] Status MergeFrom(const FrequencyTable& other);
 
   /// Entries sorted by descending count (ties broken by code for
   /// determinism). Zero-count codes are included — digests need the full

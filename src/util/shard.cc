@@ -4,23 +4,12 @@
 
 namespace dbx {
 
-size_t EffectiveShardCount(size_t rows, size_t num_shards,
-                           size_t min_rows_per_shard) {
-  if (rows == 0) return 1;
-  size_t s = std::max<size_t>(1, num_shards);
-  s = std::min(s, rows);
-  if (min_rows_per_shard > 0) {
-    s = std::min(s, std::max<size_t>(1, rows / min_rows_per_shard));
-  }
-  return s;
-}
-
-std::vector<ShardRange> MakeShardRanges(size_t rows, size_t num_shards) {
-  size_t s = EffectiveShardCount(rows, num_shards, 0);
+std::vector<ShardRange> MakeShardRanges(size_t rows, size_t count) {
+  const size_t s = std::clamp<size_t>(count, 1, std::max<size_t>(1, rows));
   std::vector<ShardRange> ranges;
   ranges.reserve(s);
   size_t base = rows / s;
-  size_t extra = rows % s;  // the first `extra` shards take one more row
+  size_t extra = rows % s;  // the first `extra` ranges take one more row
   size_t begin = 0;
   for (size_t i = 0; i < s; ++i) {
     size_t len = base + (i < extra ? 1 : 0);

@@ -1,14 +1,10 @@
 // Copyright (c) DBExplorer reproduction authors.
-// Horizontal shard planning: contiguous row-range decomposition shared by the
-// sharded CAD View build (per-shard contingency/frequency sketches merged
-// associatively, DESIGN.md §13) and the streaming scaled-data generator.
+// Contiguous row-range decomposition for the streaming scaled-data generator
+// (src/data/synthetic.h), which scans one range per task.
 //
-// Determinism contract: MakeShardRanges is a pure function of (rows,
-// num_shards, min_rows_per_shard). Merging per-shard results in range order
-// reproduces a single left-to-right pass exactly, and every sketch built on
-// top of these ranges (contingency counts, frequency counts, bottom-k
-// coresets) is additionally order-insensitive, so shard count can never
-// change output bytes.
+// Determinism contract: MakeShardRanges is a pure function of (rows, count),
+// and concatenating per-range results in range order reproduces a single
+// left-to-right pass exactly.
 
 #pragma once
 
@@ -17,7 +13,7 @@
 
 namespace dbx {
 
-/// One shard's contiguous row range [begin, end).
+/// One contiguous row range [begin, end).
 struct ShardRange {
   size_t begin = 0;
   size_t end = 0;
@@ -25,16 +21,10 @@ struct ShardRange {
   size_t size() const { return end - begin; }
 };
 
-/// Clamps a requested shard count so shards keep at least
-/// `min_rows_per_shard` rows (0 = no floor). Always returns >= 1; never
-/// returns more shards than rows.
-size_t EffectiveShardCount(size_t rows, size_t num_shards,
-                           size_t min_rows_per_shard);
-
-/// Splits [0, rows) into `num_shards` contiguous ranges covering every row
-/// exactly once, sized as evenly as possible (earlier shards take the
-/// remainder). num_shards is first clamped via EffectiveShardCount with no
-/// row floor; rows == 0 yields a single empty range.
-std::vector<ShardRange> MakeShardRanges(size_t rows, size_t num_shards);
+/// Splits [0, rows) into `count` contiguous ranges covering every row
+/// exactly once, sized as evenly as possible (earlier ranges take the
+/// remainder). `count` is clamped to [1, rows]; rows == 0 yields a single
+/// empty range.
+std::vector<ShardRange> MakeShardRanges(size_t rows, size_t count);
 
 }  // namespace dbx

@@ -180,25 +180,13 @@ Status ParallelFor(size_t num_threads, size_t begin, size_t end, size_t grain,
   return ThreadPool::Shared().ParallelFor(begin, end, grain, fn, num_threads);
 }
 
-namespace {
-
-size_t TestEnvCount(const char* var, size_t fallback) {
-  const char* s = std::getenv(var);
+size_t TestThreads(size_t fallback) {
+  const char* s = std::getenv("DBX_TEST_THREADS");
   if (s == nullptr || *s == '\0') return fallback;
   char* end = nullptr;
   unsigned long v = std::strtoul(s, &end, 10);
   if (end == s || *end != '\0' || v == 0) return fallback;
   return static_cast<size_t>(v);
-}
-
-}  // namespace
-
-size_t TestThreads(size_t fallback) {
-  return TestEnvCount("DBX_TEST_THREADS", fallback);
-}
-
-size_t TestShards(size_t fallback) {
-  return TestEnvCount("DBX_TEST_SHARDS", fallback);
 }
 
 }  // namespace dbx

@@ -102,9 +102,4 @@ Status ParallelFor(size_t num_threads, size_t begin, size_t end, size_t grain,
 /// verification loop re-run the suite with the threaded paths forced on.
 size_t TestThreads(size_t fallback = 1);
 
-/// Shard count for the sharded-build determinism sweeps: DBX_TEST_SHARDS
-/// when set to a positive integer, else `fallback`. Together with
-/// TestThreads this gives the verification loop a shard x thread grid.
-size_t TestShards(size_t fallback = 1);
-
 }  // namespace dbx

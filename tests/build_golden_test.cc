@@ -5,7 +5,7 @@
 // values can. They cover each partition, ranking and fallback route the
 // builder takes: default options, explicit pivot values (absent and
 // repeated), Optimization 1's sampled ranking, the no-significant-attribute
-// fallback, sharded scans, and a build seeded from a coarser cached context
+// fallback, a 4-thread build, and a build seeded from a coarser cached context
 // the way TpFacetSession seeds one.
 //
 // The expected values were recorded once and are never edited. A mismatch
@@ -159,11 +159,10 @@ TEST(BuildGoldenTest, UsedCarsBuilds) {
   fallback_sampled.feature_selection_sample = 40;
   ASSERT_TRUE(UsedFallback(t, sparse, fallback_sampled));
 
-  CadViewOptions sharded = CarOptions();
-  sharded.sharding.num_shards = 4;
-  sharded.sharding.min_rows_per_shard = 1;
-  CadViewOptions sharded_sampled = sharded;
-  sharded_sampled.feature_selection_sample = 600;
+  CadViewOptions threaded = CarOptions();
+  threaded.num_threads = 4;
+  CadViewOptions threaded_sampled = threaded;
+  threaded_sampled.feature_selection_sample = 600;
 
   const RowSet suvs = RowsWhere(t, all, "BodyType", "SUV");
   const RowSet suvs_4wd = RowsWhere(t, suvs, "Drivetrain", "4WD");
@@ -178,8 +177,8 @@ TEST(BuildGoldenTest, UsedCarsBuilds) {
       {"fallback", BuildHash(t, sparse, fallback), 0x4cf3aebf5da200e4},
       {"fallback_sampled", BuildHash(t, sparse, fallback_sampled),
        0x4cf3aebf5da200e4},
-      {"sharded", BuildHash(t, all, sharded), 0x831ab0e85d9d1764},
-      {"sharded_sampled", BuildHash(t, all, sharded_sampled),
+      {"threaded", BuildHash(t, all, threaded), 0x831ab0e85d9d1764},
+      {"threaded_sampled", BuildHash(t, all, threaded_sampled),
        0x489d78e00d7f84be},
       {"seeded_refinement",
        SeededRefinementHash(t, suvs, suvs_4wd, CarOptions()),
@@ -207,9 +206,8 @@ TEST(BuildGoldenTest, MushroomBuilds) {
   const RowSet sparse = EveryNth(t, 40);
   ASSERT_TRUE(UsedFallback(t, sparse, fallback));
 
-  CadViewOptions sharded = MushroomOptions();
-  sharded.sharding.num_shards = 4;
-  sharded.sharding.min_rows_per_shard = 1;
+  CadViewOptions threaded = MushroomOptions();
+  threaded.num_threads = 4;
 
   const RowSet bruised = RowsWhere(t, all, "Bruises", "true");
   const RowSet bruised_broad = RowsWhere(t, bruised, "GillSize", "broad");
@@ -220,7 +218,7 @@ TEST(BuildGoldenTest, MushroomBuilds) {
        0x6b493401e1f1665d},
       {"sampled_ranking", BuildHash(t, all, sampled), 0x61d987d068fb8e7e},
       {"fallback", BuildHash(t, sparse, fallback), 0xfd0a8f37ba01dfe7},
-      {"sharded", BuildHash(t, all, sharded), 0x534ca5bc23bcfaa6},
+      {"threaded", BuildHash(t, all, threaded), 0x534ca5bc23bcfaa6},
       {"seeded_refinement",
        SeededRefinementHash(t, bruised, bruised_broad, MushroomOptions()),
        0x86801be9de18317b},
@@ -230,7 +228,7 @@ TEST(BuildGoldenTest, MushroomBuilds) {
 /// Hash of RankFeatures' full ranked output (order and every score field)
 /// for the pivot `pivot_attr` over the whole table.
 uint64_t RankingHash(const Table& t, const std::string& pivot_attr,
-                     FeatureRanker ranker, size_t shards) {
+                     FeatureRanker ranker, size_t threads) {
   auto dt = DiscretizedTable::Build(TableSlice::All(t), DiscretizerOptions{});
   EXPECT_TRUE(dt.ok());
   if (!dt.ok()) return 0;
@@ -241,7 +239,7 @@ uint64_t RankingHash(const Table& t, const std::string& pivot_attr,
   }
   FeatureSelectionOptions fo;
   fo.ranker = ranker;
-  fo.num_shards = shards;
+  fo.num_threads = threads;
   auto ranked = RankFeatures(*dt, dt->attr(pivot).codes,
                              dt->attr(pivot).cardinality(), candidates, fo);
   EXPECT_TRUE(ranked.ok()) << ranked.status().ToString();
@@ -270,13 +268,13 @@ TEST(BuildGoldenTest, RankFeaturesOrder) {
       {FeatureRanker::kCramersV, 0xb6b83aba37d22dda, 0xbb2ec528d51cd56d},
   };
   for (const Expected& e : expected) {
-    for (size_t shards : {size_t{1}, size_t{4}}) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
       const std::string where = std::string(FeatureRankerName(e.ranker)) +
-                                " shards=" + std::to_string(shards);
-      EXPECT_EQ(Hex(RankingHash(Cars(), "Make", e.ranker, shards)),
+                                " threads=" + std::to_string(threads);
+      EXPECT_EQ(Hex(RankingHash(Cars(), "Make", e.ranker, threads)),
                 Hex(e.cars))
           << "cars " << where;
-      EXPECT_EQ(Hex(RankingHash(Mushrooms(), "Class", e.ranker, shards)),
+      EXPECT_EQ(Hex(RankingHash(Mushrooms(), "Class", e.ranker, threads)),
                 Hex(e.mushrooms))
           << "mushrooms " << where;
     }

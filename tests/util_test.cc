@@ -1,4 +1,5 @@
-// Unit tests for src/util: Status/Result, Rng, string helpers, AsciiTable.
+// Unit tests for src/util: Status/Result, Rng, string helpers, AsciiTable,
+// row ranges.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include "src/util/ascii_table.h"
 #include "src/util/result.h"
 #include "src/util/rng.h"
+#include "src/util/shard.h"
 #include "src/util/status.h"
 #include "src/util/string_util.h"
 
@@ -312,6 +314,35 @@ TEST(AsciiTableTest, LongWordHardBroken) {
   std::string out = t.Render();
   EXPECT_NE(out.find("abcd"), std::string::npos);
   EXPECT_NE(out.find("efgh"), std::string::npos);
+}
+
+// --- Row ranges --------------------------------------------------------------
+
+TEST(ShardRangeTest, RangesCoverRowsDisjointAscending) {
+  for (size_t rows : {size_t{1}, size_t{7}, size_t{100}, size_t{1001}}) {
+    for (size_t count : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+      auto ranges = MakeShardRanges(rows, count);
+      ASSERT_FALSE(ranges.empty());
+      EXPECT_EQ(ranges.front().begin, 0u);
+      EXPECT_EQ(ranges.back().end, rows);
+      for (size_t s = 1; s < ranges.size(); ++s) {
+        EXPECT_EQ(ranges[s].begin, ranges[s - 1].end);
+        EXPECT_LE(ranges[s - 1].size(), ranges[s].size() + 1);
+      }
+    }
+  }
+}
+
+TEST(ShardRangeTest, EffectiveCountClamps) {
+  // The count is clamped to [1, rows], so no range is ever empty unless the
+  // table is.
+  EXPECT_EQ(MakeShardRanges(100, 8).size(), 8u);
+  EXPECT_EQ(MakeShardRanges(100, 0).size(), 1u);
+  EXPECT_EQ(MakeShardRanges(3, 8).size(), 3u);
+  for (const ShardRange& r : MakeShardRanges(3, 8)) EXPECT_EQ(r.size(), 1u);
+  auto empty = MakeShardRanges(0, 8);
+  ASSERT_EQ(empty.size(), 1u);
+  EXPECT_EQ(empty[0].size(), 0u);
 }
 
 }  // namespace

@@ -98,6 +98,10 @@ TEST(CadViewOptionsFingerprintTest, SensitiveToOutputAffectingFields) {
   changed = base;
   changed.user_compare_attrs = {"Price"};
   EXPECT_NE(*CadViewOptionsFingerprint(changed), *fp);
+
+  changed = base;
+  changed.clustering_sample = 128;
+  EXPECT_NE(*CadViewOptionsFingerprint(changed), *fp);
 }
 
 TEST(CadViewOptionsFingerprintTest, ThreadCountIsOutputNeutral) {
@@ -105,34 +109,6 @@ TEST(CadViewOptionsFingerprintTest, ThreadCountIsOutputNeutral) {
   CadViewOptions b;
   b.num_threads = 8;
   EXPECT_EQ(*CadViewOptionsFingerprint(a), *CadViewOptionsFingerprint(b));
-}
-
-TEST(CadViewOptionsFingerprintTest, ShardPolicyIsOutputNeutral) {
-  // The sharded build path produces byte-identical views for any shard
-  // decomposition (tests/cad_view_test.cc), so shard count and shard sizing
-  // must not fragment the cache: a view built unsharded must satisfy a
-  // lookup from a sharded build and vice versa.
-  CadViewOptions a;
-  CadViewOptions b;
-  b.sharding.num_shards = 8;
-  b.sharding.min_rows_per_shard = 1;
-  EXPECT_EQ(*CadViewOptionsFingerprint(a), *CadViewOptionsFingerprint(b));
-}
-
-TEST(CadViewOptionsFingerprintTest, CoresetFieldsChangeKey) {
-  // Coreset clustering is an opt-in approximation that changes view bytes,
-  // so both the toggle and the budget must be part of the fingerprint.
-  CadViewOptions base;
-  auto fp = CadViewOptionsFingerprint(base);
-  ASSERT_TRUE(fp.has_value());
-
-  CadViewOptions changed = base;
-  changed.sharding.coreset_clustering = true;
-  EXPECT_NE(*CadViewOptionsFingerprint(changed), *fp);
-
-  changed = base;
-  changed.sharding.coreset_budget = 128;
-  EXPECT_NE(*CadViewOptionsFingerprint(changed), *fp);
 }
 
 TEST(CadViewOptionsFingerprintTest, OpaquePreferenceIsUncacheable) {
