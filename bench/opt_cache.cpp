@@ -205,11 +205,10 @@ DatasetOutcome RunDataset(const char* label, const Table& table,
   warm_lat.PrintSummary("warm cache");
   out.speedup = cold.view_ms / std::max(warm.view_ms, 1e-9);
   std::printf(
-      "  cold: %llu misses, %llu hits, %llu refinement seeds; "
+      "  cold: %llu misses, %llu hits; "
       "warm: +%llu hits, +%llu misses; %zu entries, %zu KiB\n",
       static_cast<unsigned long long>(cold_stats.misses),
       static_cast<unsigned long long>(cold_stats.hits),
-      static_cast<unsigned long long>(cold_stats.refinement_seeds),
       static_cast<unsigned long long>(warm_stats.hits - cold_stats.hits),
       static_cast<unsigned long long>(warm_stats.misses - cold_stats.misses),
       warm_stats.entries, warm_stats.bytes_in_use / 1024);

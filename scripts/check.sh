@@ -48,26 +48,34 @@ ctest --test-dir build -L storage --output-on-failure || fail "storage tests"
 # Bench-trend gate (DESIGN.md §14): the bench-smoke tier above refreshed
 # build/BENCH_*.json; compare them against the committed baselines. First the
 # harness proves its own sensitivity — the self-test must pass and a seeded
-# +30% p95 regression must flip the exit code — then the live compare runs
-# with generous smoke-mode thresholds (override via DBX_BENCH_THRESHOLD /
-# DBX_BENCH_MIN_ABS_MS). DBX_UPDATE_BASELINES=1 refreshes the baselines
-# instead of gating on them.
+# +30% p95 regression must exit 1 — then the live compare runs with generous
+# smoke-mode thresholds (override via DBX_BENCH_THRESHOLD /
+# DBX_BENCH_MIN_ABS_MS). benchdiff exits 2 without a verdict when a config
+# leaf (smoke, rows, mode, hardware_threads, threads) differs from the
+# baseline's. DBX_UPDATE_BASELINES=1 refreshes the baselines instead of
+# gating on them.
 BENCHDIFF=build/tools/dbx_benchdiff/dbx_benchdiff
 "$BENCHDIFF" --self-test || fail "benchdiff self-test"
-if "$BENCHDIFF" --baseline bench/baselines/BENCH_scale.json \
-    --current bench/baselines/BENCH_scale.json \
-    --seed-regression p95_ms:1.3 >/dev/null; then
-  fail "benchdiff missed a seeded p95 regression"
-fi
+seeded_rc=0
+"$BENCHDIFF" --baseline bench/baselines/BENCH_scale.json \
+  --current bench/baselines/BENCH_scale.json \
+  --seed-regression p95_ms:1.3 >/dev/null || seeded_rc=$?
+[ "$seeded_rc" = "1" ] \
+  || fail "benchdiff exited $seeded_rc on a seeded p95 regression (want 1)"
 if [ "${DBX_UPDATE_BASELINES:-0}" = "1" ]; then
   cp build/BENCH_scale.json build/BENCH_storage.json bench/baselines/ \
     || fail "baseline refresh"
   echo "bench baselines refreshed from build/"
 else
+  trend_rc=0
   "$BENCHDIFF" --baseline bench/baselines --current build \
     --threshold "${DBX_BENCH_THRESHOLD:-0.5}" \
-    --min-abs-ms "${DBX_BENCH_MIN_ABS_MS:-3}" \
-    || fail "bench trend regression (rerun with DBX_UPDATE_BASELINES=1 after an intended change)"
+    --min-abs-ms "${DBX_BENCH_MIN_ABS_MS:-3}" || trend_rc=$?
+  case "$trend_rc" in
+    0) ;;
+    2) fail "bench baselines were recorded under a different config, or could not be read (see the benchdiff note above); refresh them on this host with DBX_UPDATE_BASELINES=1" ;;
+    *) fail "bench trend regression (rerun with DBX_UPDATE_BASELINES=1 after an intended change)" ;;
+  esac
 fi
 
 # Re-run the test tiers with the threaded paths forced on: the parallel tests

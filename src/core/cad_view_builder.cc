@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/cluster/cluster_metrics.h"
 #include "src/cluster/kmeans.h"
@@ -20,33 +21,12 @@ struct PivotPlan {
   std::vector<std::string> value_labels;  // parallel
 };
 
-// One pass over the pivot column: each code's member rows, ascending. Codes
-// are ascending and only non-empty ones are listed; negative codes (nulls)
-// join no partition.
-PartitionSeed ScanPartitions(const DiscreteAttr& pivot) {
-  std::vector<std::vector<size_t>> members(pivot.cardinality());
-  for (size_t i = 0; i < pivot.codes.size(); ++i) {
-    const int32_t c = pivot.codes[i];
-    if (c >= 0 && static_cast<size_t>(c) < members.size()) {
-      members[static_cast<size_t>(c)].push_back(i);
-    }
-  }
-  PartitionSeed seed;
-  for (size_t c = 0; c < members.size(); ++c) {
-    if (!members[c].empty()) {
-      seed.members_by_code.emplace_back(static_cast<int32_t>(c),
-                                        std::move(members[c]));
-    }
-  }
-  return seed;
-}
-
 // Reads the selected values' codes, and for the default selection their
-// frequencies, from the partition seed. Explicit values resolve against the
-// pivot's full domain labels.
+// frequencies, from `members` (each pivot code's member rows). Explicit
+// values resolve against the pivot's full domain labels.
 Result<PivotPlan> PlanPivot(const DiscretizedTable& dt, size_t attr_index,
                             const CadViewOptions& options,
-                            const PartitionSeed& seed) {
+                            const std::vector<std::vector<size_t>>& members) {
   const DiscreteAttr& pivot = dt.attr(attr_index);
   PivotPlan plan;
   plan.attr_index = attr_index;
@@ -54,10 +34,9 @@ Result<PivotPlan> PlanPivot(const DiscretizedTable& dt, size_t attr_index,
     // All values present in the fragment, most frequent first, for a stable
     // default row order.
     std::vector<std::pair<int32_t, size_t>> counts;
-    for (const auto& [code, members] : seed.members_by_code) {
-      if (code >= 0 && !members.empty() &&
-          static_cast<size_t>(code) < pivot.cardinality()) {
-        counts.emplace_back(code, members.size());
+    for (size_t c = 0; c < members.size(); ++c) {
+      if (!members[c].empty()) {
+        counts.emplace_back(static_cast<int32_t>(c), members[c].size());
       }
     }
     std::stable_sort(counts.begin(), counts.end(),
@@ -114,9 +93,7 @@ Result<CadView> BuildCadView(const TableSlice& slice,
 }
 
 Result<CadView> BuildCadViewFromDiscretized(const DiscretizedTable& dt,
-                                            const CadViewOptions& options,
-                                            const PartitionSeed* seed,
-                                            CadViewBuildExtras* extras) {
+                                            const CadViewOptions& options) {
   Stopwatch total;
   if (options.iunits_per_value == 0) {
     return Status::InvalidArgument("iunits_per_value must be >= 1");
@@ -131,16 +108,20 @@ Result<CadView> BuildCadViewFromDiscretized(const DiscretizedTable& dt,
                             "' not in table");
   }
 
-  // Every build partitions through a PartitionSeed: the caller's (the view
-  // cache refining a previous selection context) or one scanned here.
+  // One pass over the pivot column: each code's member rows, ascending.
+  // Negative codes (nulls) join no partition.
   ScopedSpan partition_span(options.tracer, "partition", options.trace_parent);
-  PartitionSeed scanned;
-  if (seed == nullptr) scanned = ScanPartitions(dt.attr(*pivot_index));
-  const PartitionSeed& source = seed != nullptr ? *seed : scanned;
+  const DiscreteAttr& pivot = dt.attr(*pivot_index);
+  std::vector<std::vector<size_t>> members(pivot.cardinality());
+  for (size_t i = 0; i < pivot.codes.size(); ++i) {
+    const int32_t c = pivot.codes[i];
+    if (c >= 0 && static_cast<size_t>(c) < members.size()) {
+      members[static_cast<size_t>(c)].push_back(i);
+    }
+  }
 
   DBX_ASSIGN_OR_RETURN(PivotPlan plan,
-                       PlanPivot(dt, *pivot_index, options, source));
-  const DiscreteAttr& pivot = dt.attr(plan.attr_index);
+                       PlanPivot(dt, *pivot_index, options, members));
   if (pivot.original_type != AttrType::kCategorical &&
       pivot.cardinality() > 64) {
     return Status::InvalidArgument(
@@ -148,28 +129,14 @@ Result<CadView> BuildCadViewFromDiscretized(const DiscretizedTable& dt,
         "' has too many values; discretize it or choose another pivot");
   }
 
-  // Each selected value takes its code's member list (ascending row
-  // positions); a code repeated in plan.value_codes feeds only its last
-  // occurrence, earlier duplicates stay empty. A seed scanned here is moved
-  // into the partitions, a caller's is copied.
+  // Each selected value takes its code's member list; a code repeated in
+  // plan.value_codes feeds only its last occurrence, earlier duplicates stay
+  // empty.
   std::vector<std::vector<size_t>> partitions(plan.value_codes.size());
-  std::vector<size_t> last_view_of_code(pivot.cardinality(), partitions.size());
-  for (size_t v = 0; v < plan.value_codes.size(); ++v) {
-    if (plan.value_codes[v] >= 0) {
-      last_view_of_code[static_cast<size_t>(plan.value_codes[v])] = v;
-    }
-  }
-  for (size_t i = 0; i < source.members_by_code.size(); ++i) {
-    const int32_t code = source.members_by_code[i].first;
-    if (code < 0 || static_cast<size_t>(code) >= last_view_of_code.size()) {
-      continue;
-    }
-    const size_t v = last_view_of_code[static_cast<size_t>(code)];
-    if (v == partitions.size()) continue;
-    if (seed != nullptr) {
-      partitions[v] = seed->members_by_code[i].second;
-    } else {
-      partitions[v] = std::move(scanned.members_by_code[i].second);
+  for (size_t v = partitions.size(); v-- > 0;) {
+    const int32_t code = plan.value_codes[v];
+    if (code >= 0) {
+      partitions[v] = std::exchange(members[static_cast<size_t>(code)], {});
     }
   }
 
@@ -182,8 +149,6 @@ Result<CadView> BuildCadViewFromDiscretized(const DiscretizedTable& dt,
 
   partition_span.AddArg("partitions", static_cast<uint64_t>(partitions.size()));
   partition_span.AddArg("rows", static_cast<uint64_t>(pivot.codes.size()));
-  // "seeded": the member lists came from the caller, not a scan.
-  partition_span.AddArg("seeded", seed != nullptr ? "yes" : "no");
   partition_span.End();
 
   CadView view;
@@ -443,19 +408,6 @@ Result<CadView> BuildCadViewFromDiscretized(const DiscretizedTable& dt,
   topk_span.End();
   view.timings.topk_ms = sw.ElapsedMillis();
   view.timings.total_ms = total.ElapsedMillis();
-
-  if (extras != nullptr) {
-    extras->partitions.members_by_code.clear();
-    for (size_t v = 0; v < partitions.size(); ++v) {
-      if (plan.value_codes[v] >= 0 && !partitions[v].empty()) {
-        extras->partitions.members_by_code.emplace_back(plan.value_codes[v],
-                                                        partitions[v]);
-      }
-    }
-    std::sort(extras->partitions.members_by_code.begin(),
-              extras->partitions.members_by_code.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-  }
   return view;
 }
 

@@ -111,23 +111,6 @@ struct CadViewOptions {
   uint64_t trace_parent = 0;
 };
 
-/// Pre-computed pivot partitions: for each pivot code of the table's (full)
-/// discretized domain, the member rows as ascending positions into the
-/// DiscretizedTable being built over. Pairs are sorted by code. Supplying a
-/// seed lets a caller that already knows the partition membership (e.g. the
-/// view cache refining a previous selection context) skip the pivot-column
-/// rescan; the seed MUST list exactly the rows a scan would find, or the
-/// byte-identical determinism contract is void.
-struct PartitionSeed {
-  std::vector<std::pair<int32_t, std::vector<size_t>>> members_by_code;
-};
-
-/// Build by-products a caller can ask for: the partition membership actually
-/// used, in seed form, so finished builds can be cached as future seeds.
-struct CadViewBuildExtras {
-  PartitionSeed partitions;
-};
-
 /// Builds a CAD View over the selected fragment `slice`.
 ///
 /// Fails when the pivot attribute is unknown/non-categorical, when no pivot
@@ -137,15 +120,10 @@ struct CadViewBuildExtras {
                              const CadViewOptions& options);
 
 /// As BuildCadView, but reuses a pre-built discretization of the same slice
-/// (the interactive TPFacet session caches it between pivot switches).
-/// With a `seed`, pivot planning and partitioning use the supplied member
-/// lists instead of scanning the pivot column — output is byte-identical to
-/// an unseeded build for any valid seed. `extras`, when non-null, receives
-/// the partitions of this build (codes >= 0 with members, sorted by code).
+/// (the interactive TPFacet session projects its full-table discretization
+/// onto the current result set).
 [[nodiscard]]
 Result<CadView> BuildCadViewFromDiscretized(const DiscretizedTable& dt,
-                                            const CadViewOptions& options,
-                                            const PartitionSeed* seed = nullptr,
-                                            CadViewBuildExtras* extras = nullptr);
+                                            const CadViewOptions& options);
 
 }  // namespace dbx

@@ -51,16 +51,20 @@ std::string MakeSnapshotDatasetId(const std::string& name) {
   return name + "@" + std::to_string(next.fetch_add(1));
 }
 
-std::string ExplainCacheLine(const ViewCacheStats& stats) {
+std::string CacheStatsLine(const ViewCacheStats& stats) {
   return StringPrintf(
-      "cache: hits=%llu misses=%llu inserts=%llu evictions=%llu "
-      "seeds=%llu entries=%zu bytes=%zu saved_ms=%s\n",
+      "hits=%llu misses=%llu inserts=%llu evictions=%llu invalidations=%llu "
+      "oversize_rejects=%llu owner_budget_rejects=%llu hit_saved_ms=%s "
+      "bytes_in_use=%zu entries=%zu byte_budget=%zu",
       static_cast<unsigned long long>(stats.hits),
       static_cast<unsigned long long>(stats.misses),
       static_cast<unsigned long long>(stats.inserts),
       static_cast<unsigned long long>(stats.evictions),
-      static_cast<unsigned long long>(stats.refinement_seeds), stats.entries,
-      stats.bytes_in_use, FormatDouble(stats.hit_saved_ms, 3).c_str());
+      static_cast<unsigned long long>(stats.invalidations),
+      static_cast<unsigned long long>(stats.oversize_rejects),
+      static_cast<unsigned long long>(stats.owner_budget_rejects),
+      FormatDouble(stats.hit_saved_ms, 3).c_str(), stats.bytes_in_use,
+      stats.entries, stats.byte_budget);
 }
 
 std::string CanonicalizePredicate(const std::string& predicate) {
@@ -93,20 +97,16 @@ ViewCacheKey ViewCacheKey::Make(std::string dataset,
   std::sort(predicates.begin(), predicates.end());
   predicates.erase(std::unique(predicates.begin(), predicates.end()),
                    predicates.end());
-  key.predicates = std::move(predicates);
-  key.pivot_attr = std::move(pivot_attr);
-  key.pivot_values = std::move(pivot_values);
-  key.params = std::move(params);
 
   AppendComponent(&key.canonical, "ds", key.dataset);
-  for (const std::string& p : key.predicates) {
+  for (const std::string& p : predicates) {
     AppendComponent(&key.canonical, "pred", p);
   }
-  AppendComponent(&key.canonical, "pivot", key.pivot_attr);
-  for (const std::string& v : key.pivot_values) {
+  AppendComponent(&key.canonical, "pivot", pivot_attr);
+  for (const std::string& v : pivot_values) {
     AppendComponent(&key.canonical, "pv", v);
   }
-  AppendComponent(&key.canonical, "params", key.params);
+  AppendComponent(&key.canonical, "params", params);
   return key;
 }
 
@@ -158,7 +158,6 @@ ViewCache::Instruments::Instruments(MetricsRegistry* registry) {
   inserts = registry->GetCounter("dbx_cache_inserts_total");
   evictions = registry->GetCounter("dbx_cache_evictions_total");
   invalidations = registry->GetCounter("dbx_cache_invalidations_total");
-  refinement_seeds = registry->GetCounter("dbx_cache_refinement_seeds_total");
   oversize_rejects = registry->GetCounter("dbx_cache_oversize_rejects_total");
   bytes_in_use = registry->GetGauge("dbx_cache_bytes_in_use");
   entries = registry->GetGauge("dbx_cache_entries");
@@ -187,19 +186,13 @@ std::shared_ptr<const CachedCadView> ViewCache::Lookup(
 }
 
 void ViewCache::Insert(const ViewCacheKey& key, CadView view,
-                       CachedPartitions partitions, double build_cost_ms,
-                       const std::string& owner) {
+                       double build_cost_ms, const std::string& owner) {
   auto entry = std::make_shared<CachedCadView>();
   entry->view = std::move(view);
-  entry->partitions = std::move(partitions);
   entry->build_cost_ms = build_cost_ms;
   entry->bytes = ApproxCadViewBytes(entry->view);
-  for (const auto& [code, rows] : entry->partitions.rows_by_code) {
-    entry->bytes += sizeof(code) + rows.size() * sizeof(uint32_t);
-  }
 
   MutexLock lock(mu_);
-  ++stats_.insert_attempts;
   if (entry->bytes > byte_budget_) {
     // Not counted as an insert: the entry never becomes resident, and
     // `inserts` must track the store (inserts - evictions - invalidations ==
@@ -230,7 +223,7 @@ void ViewCache::Insert(const ViewCacheKey& key, CadView view,
   }
   lru_.push_front(key.canonical);
   Entry e;
-  e.key = key;
+  e.dataset = key.dataset;
   e.value = std::move(entry);
   e.lru_pos = lru_.begin();
   e.owner = owner;
@@ -242,39 +235,6 @@ void ViewCache::Insert(const ViewCacheKey& key, CadView view,
   ++stats_.inserts;
   Bump(metrics_.inserts);
   Shift(metrics_.entries, 1);
-}
-
-std::shared_ptr<const CachedCadView> ViewCache::FindRefinementBase(
-    const ViewCacheKey& key) {
-  MutexLock lock(mu_);
-  const Entry* best = nullptr;
-  for (const auto& [canonical, entry] : entries_) {
-    const ViewCacheKey& k = entry.key;
-    if (k.dataset != key.dataset || k.pivot_attr != key.pivot_attr ||
-        k.params != key.params) {
-      continue;
-    }
-    if (!k.pivot_values.empty() && k.pivot_values != key.pivot_values) {
-      continue;
-    }
-    if (k.predicates.size() >= key.predicates.size()) continue;
-    // Strict subset check: both sides are sorted and deduplicated.
-    if (!std::includes(key.predicates.begin(), key.predicates.end(),
-                       k.predicates.begin(), k.predicates.end())) {
-      continue;
-    }
-    if (entry.value->partitions.rows_by_code.empty()) continue;
-    if (best == nullptr ||
-        k.predicates.size() > best->key.predicates.size() ||
-        (k.predicates.size() == best->key.predicates.size() &&
-         k.canonical < best->key.canonical)) {
-      best = &entry;
-    }
-  }
-  if (best == nullptr) return nullptr;
-  ++stats_.refinement_seeds;
-  Bump(metrics_.refinement_seeds);
-  return best->value;
 }
 
 void ViewCache::SetOwnerBudget(const std::string& owner, size_t bytes) {
@@ -308,7 +268,7 @@ void ViewCache::ReleaseOwnerBytesLocked(const std::string& owner,
 void ViewCache::InvalidateDataset(const std::string& dataset) {
   MutexLock lock(mu_);
   for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.key.dataset == dataset) {
+    if (it->second.dataset == dataset) {
       ReleaseOwnerBytesLocked(it->second.owner, it->second.value->bytes);
       stats_.bytes_in_use -= it->second.value->bytes;
       ++stats_.invalidations;
@@ -346,9 +306,11 @@ ViewCacheStats ViewCache::stats() const {
   return stats_;
 }
 
-std::vector<ViewCacheEntryInfo> ViewCache::EntryInfosLocked() const {
-  std::vector<ViewCacheEntryInfo> infos;
-  infos.reserve(entries_.size());
+ViewCacheSnapshot ViewCache::Snapshot() const {
+  MutexLock lock(mu_);
+  ViewCacheSnapshot snapshot;
+  snapshot.stats = stats_;
+  snapshot.entries.reserve(entries_.size());
   for (const std::string& canonical : lru_) {
     auto it = entries_.find(canonical);
     if (it == entries_.end()) continue;
@@ -357,21 +319,8 @@ std::vector<ViewCacheEntryInfo> ViewCache::EntryInfosLocked() const {
     info.bytes = it->second.value->bytes;
     info.hits = it->second.hits;
     info.build_cost_ms = it->second.value->build_cost_ms;
-    infos.push_back(std::move(info));
+    snapshot.entries.push_back(std::move(info));
   }
-  return infos;
-}
-
-std::vector<ViewCacheEntryInfo> ViewCache::EntryInfos() const {
-  MutexLock lock(mu_);
-  return EntryInfosLocked();
-}
-
-ViewCacheSnapshot ViewCache::Snapshot() const {
-  MutexLock lock(mu_);
-  ViewCacheSnapshot snapshot;
-  snapshot.stats = stats_;
-  snapshot.entries = EntryInfosLocked();
   return snapshot;
 }
 
@@ -420,13 +369,9 @@ Result<CachedBuild> GetOrBuildCadView(ViewCache* cache,
     probe_span.AddArg("result", out.probe);
   }
 
-  CachedPartitions partitions;
-  auto view = build(key ? &*key : nullptr, key ? &partitions : nullptr);
+  auto view = build();
   if (!view.ok()) return view.status();
-  if (key) {
-    cache->Insert(*key, *view, std::move(partitions), view->timings.total_ms,
-                  owner);
-  }
+  if (key) cache->Insert(*key, *view, view->timings.total_ms, owner);
   out.view = std::move(*view);
   return out;
 }
@@ -466,44 +411,6 @@ size_t ApproxCadViewBytes(const CadView& view) {
     for (const IUnit& u : row.iunits) bytes += ApproxIUnitBytes(u);
   }
   return bytes;
-}
-
-CachedPartitions PartitionsToBaseRows(const PartitionSeed& partitions,
-                                      const RowSet& fragment_rows) {
-  CachedPartitions out;
-  out.rows_by_code.reserve(partitions.members_by_code.size());
-  for (const auto& [code, members] : partitions.members_by_code) {
-    std::vector<uint32_t> base;
-    base.reserve(members.size());
-    for (size_t pos : members) base.push_back(fragment_rows[pos]);
-    out.rows_by_code.emplace_back(code, std::move(base));
-  }
-  return out;
-}
-
-PartitionSeed IntersectPartitions(const CachedPartitions& base,
-                                  const RowSet& fragment_rows) {
-  PartitionSeed out;
-  for (const auto& [code, rows] : base.rows_by_code) {
-    // Two-pointer merge over the ascending cached base-row ids and the
-    // ascending refined fragment; matches become positions into the refined
-    // fragment (== row positions of its projected DiscretizedTable).
-    std::vector<size_t> members;
-    size_t i = 0, j = 0;
-    while (i < rows.size() && j < fragment_rows.size()) {
-      if (rows[i] < fragment_rows[j]) {
-        ++i;
-      } else if (rows[i] > fragment_rows[j]) {
-        ++j;
-      } else {
-        members.push_back(j);
-        ++i;
-        ++j;
-      }
-    }
-    if (!members.empty()) out.members_by_code.emplace_back(code, members);
-  }
-  return out;
 }
 
 }  // namespace dbx

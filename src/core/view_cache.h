@@ -2,16 +2,14 @@
 // Session-scoped memoization of CAD View builds. The TPFacet workflow (paper
 // §6) is a sequence of drill-downs whose selection contexts overlap almost
 // entirely; this layer keys finished views by their canonicalized build
-// request so drill-down/roll-back steps and repeated CADVIEW statements
-// short-circuit, and seeds strictly-refined rebuilds with the cached
-// partition row-id lists (partial reuse).
+// request so drill-back, undo and repeated CADVIEW statements short-circuit.
+// Every miss builds from scratch, scanning its own pivot column.
 //
 // Determinism contract: for any cache state — cold, warm, or partially
 // evicted — the serialized CAD View handed back to a caller is byte-identical
-// to an uncached build. A hit returns the bytes of the original build
-// verbatim; a seeded (partial-reuse) build feeds the builder exactly the
-// partitions a full rescan would produce. Wall-clock timings remain the one
-// legitimately run-varying field, as everywhere else in the pipeline.
+// to an uncached build, because a hit returns the bytes of the original build
+// verbatim. Wall-clock timings remain the one legitimately run-varying field,
+// as everywhere else in the pipeline.
 //
 // Thread safety: every public method is safe to call concurrently; builds
 // already fan out on the shared thread pool, so lookups/inserts from parallel
@@ -50,7 +48,7 @@ std::string CanonicalizePredicate(const std::string& predicate);
 /// n. Cache keys built from snapshot ids can never collide across two
 /// registrations of the same name — two engines sharing one cache that each
 /// register a different table as "T" get disjoint key spaces instead of
-/// serving each other stale partitions. Invalidation then only has to drop
+/// serving each other's views. Invalidation then only has to drop
 /// the superseded snapshot's entries to reclaim budget, never for
 /// correctness.
 std::string MakeSnapshotDatasetId(const std::string& name);
@@ -58,20 +56,15 @@ std::string MakeSnapshotDatasetId(const std::string& name);
 /// Canonicalized identity of one CAD View build request: dataset, selection
 /// predicate set, pivot attribute, pivot values, and build parameters.
 struct ViewCacheKey {
+  /// The table registration; InvalidateDataset drops its entries.
   std::string dataset;
-  /// Canonical predicate strings, sorted and deduplicated — the conjunctive
-  /// selection context (predicates are AND-ed, so a strict superset of
-  /// predicates selects a subset of rows).
-  std::vector<std::string> predicates;
-  std::string pivot_attr;
-  std::vector<std::string> pivot_values;
-  /// Fingerprint of every build parameter that shapes the output bytes
-  /// (see CadViewOptionsFingerprint).
-  std::string params;
-  /// Length-prefixed serialization of all of the above; the map key.
+  /// Length-prefixed serialization of every component; the map key.
   std::string canonical;
 
-  /// Builds a key, canonicalizing `predicates` (order/whitespace-insensitive).
+  /// Builds a key. `predicates` are canonicalized, sorted and deduplicated
+  /// (order/whitespace-insensitive: they are AND-ed); `params` fingerprints
+  /// every build parameter that shapes the output bytes (see
+  /// CadViewOptionsFingerprint).
   static ViewCacheKey Make(std::string dataset,
                            std::vector<std::string> predicates,
                            std::string pivot_attr,
@@ -88,21 +81,12 @@ struct ViewCacheKey {
 std::optional<std::string> CadViewOptionsFingerprint(
     const CadViewOptions& options);
 
-/// Cached pivot partitions in base-table row ids (ascending), the seed
-/// material for partial reuse. Codes index the full-table discretized domain.
-struct CachedPartitions {
-  std::vector<std::pair<int32_t, std::vector<uint32_t>>> rows_by_code;
-};
-
-/// One immutable cache entry: the finished view plus the partition row-id
-/// lists it was built from (empty for per-fragment-domain builds, which
-/// cannot seed refinements because their codes are slice-local).
+/// One immutable cache entry: a finished view.
 struct CachedCadView {
   CadView view;
-  CachedPartitions partitions;
   /// Wall-clock cost of the original build (total_ms) — what a hit saves.
   double build_cost_ms = 0.0;
-  /// Approximate in-memory footprint charged against the byte budget.
+  /// ApproxCadViewBytes(view), charged against the byte budget.
   size_t bytes = 0;
 };
 
@@ -113,10 +97,8 @@ struct ViewCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t inserts = 0;           // entries that actually became resident
-  uint64_t insert_attempts = 0;   // Insert() calls, incl. rejects/duplicates
   uint64_t evictions = 0;
   uint64_t invalidations = 0;   // entries removed by InvalidateDataset/Clear
-  uint64_t refinement_seeds = 0;  // FindRefinementBase successes
   uint64_t oversize_rejects = 0;  // entries larger than the whole budget
   uint64_t owner_budget_rejects = 0;  // inserts over the owner's byte budget
   /// Sum of the original build costs of every hit — wall time the cache has
@@ -127,9 +109,10 @@ struct ViewCacheStats {
   size_t byte_budget = 0;
 };
 
-/// The cache footer EXPLAIN ANALYZE prints: "cache: hits=… misses=…
-/// inserts=… evictions=… seeds=… entries=… bytes=… saved_ms=…\n".
-std::string ExplainCacheLine(const ViewCacheStats& stats);
+/// Every ViewCacheStats field as "name=value", space-separated, in
+/// declaration order ("hits=… misses=… … byte_budget=…", no newline): the
+/// line EXPLAIN ANALYZE and /statusz print after "cache: ", and STATS prints.
+std::string CacheStatsLine(const ViewCacheStats& stats);
 
 /// Per-entry diagnostics, MRU first.
 struct ViewCacheEntryInfo {
@@ -141,7 +124,7 @@ struct ViewCacheEntryInfo {
 
 /// One coherent point-in-time picture of the cache: aggregate counters plus
 /// the per-entry diagnostics, taken under a single lock acquisition — what
-/// EXPLAIN ANALYZE and TpFacetSession report.
+/// /statusz and TpFacetSession::CacheSnapshot report.
 struct ViewCacheSnapshot {
   ViewCacheStats stats;
   std::vector<ViewCacheEntryInfo> entries;  // MRU first
@@ -172,8 +155,7 @@ class ViewCache {
   /// would push the owner past its budget is rejected (the build still
   /// returns to the caller, it just isn't cached) and counted in
   /// owner_budget_rejects.
-  void Insert(const ViewCacheKey& key, CadView view,
-              CachedPartitions partitions, double build_cost_ms,
+  void Insert(const ViewCacheKey& key, CadView view, double build_cost_ms,
               const std::string& owner = "");
 
   /// Caps the resident bytes attributable to `owner`'s inserts. 0 removes
@@ -184,15 +166,6 @@ class ViewCache {
   /// Resident bytes currently attributed to `owner`.
   size_t OwnerBytes(const std::string& owner) const;
 
-  /// Finds a seed donor for partial reuse: an entry over the same dataset,
-  /// pivot attribute, and params whose predicate set is a strict subset of
-  /// `key.predicates` (so its fragment is a superset of the new one) and
-  /// whose pivot-value list is empty (all values) or identical. Prefers the
-  /// most refined donor (largest predicate set), breaking ties by canonical
-  /// key, so the choice is deterministic. Returns nullptr when none applies.
-  std::shared_ptr<const CachedCadView> FindRefinementBase(
-      const ViewCacheKey& key);
-
   /// Invalidation hook for table reload/mutation: drops every entry of
   /// `dataset`.
   void InvalidateDataset(const std::string& dataset);
@@ -201,8 +174,7 @@ class ViewCache {
   void Clear();
 
   ViewCacheStats stats() const;
-  std::vector<ViewCacheEntryInfo> EntryInfos() const;
-  /// stats() + EntryInfos() under one lock acquisition.
+  /// stats() plus the per-entry diagnostics under one lock acquisition.
   ViewCacheSnapshot Snapshot() const;
   size_t byte_budget() const { return byte_budget_; }
 
@@ -215,14 +187,13 @@ class ViewCache {
     Counter* inserts = nullptr;
     Counter* evictions = nullptr;
     Counter* invalidations = nullptr;
-    Counter* refinement_seeds = nullptr;
     Counter* oversize_rejects = nullptr;
     Gauge* bytes_in_use = nullptr;
     Gauge* entries = nullptr;
   };
 
   struct Entry {
-    ViewCacheKey key;
+    std::string dataset;  // ViewCacheKey::dataset, for InvalidateDataset
     std::shared_ptr<const CachedCadView> value;
     std::list<std::string>::iterator lru_pos;  // into lru_, front = MRU
     uint64_t hits = 0;
@@ -234,7 +205,6 @@ class ViewCache {
   /// reaches zero and carries no budget.
   void ReleaseOwnerBytesLocked(const std::string& owner, size_t bytes)
       DBX_REQUIRES(mu_);
-  std::vector<ViewCacheEntryInfo> EntryInfosLocked() const DBX_REQUIRES(mu_);
 
   const size_t byte_budget_;
   const Instruments metrics_;
@@ -258,16 +228,14 @@ struct CachedBuild {
 };
 
 using CacheKeyFn = std::function<ViewCacheKey(const std::string& fingerprint)>;
-using CadViewBuildFn = std::function<Result<CadView>(
-    const ViewCacheKey* key, CachedPartitions* partitions)>;
+using CadViewBuildFn = std::function<Result<CadView>()>;
 
 /// The probe → copy on hit → build → insert path of every cached build, under
 /// a `cache_probe` span (options.tracer / trace_parent; `result=`, plus
 /// `saved_build_ms=` on a hit) in which `make_key` maps the options
 /// fingerprint to the key. A hit returns a copy the caller may mutate. A miss
-/// runs `build` — `key` (for FindRefinementBase) and `partitions` (to cache
-/// beside the view) are null when nothing will be cached — and inserts its
-/// view under `owner` at timings.total_ms build cost.
+/// runs `build` and, when the options are cacheable, inserts its view under
+/// `owner` at timings.total_ms build cost.
 [[nodiscard]] Result<CachedBuild> GetOrBuildCadView(
     ViewCache* cache, const CadViewOptions& options,
     const CacheKeyFn& make_key, const CadViewBuildFn& build,
@@ -276,18 +244,5 @@ using CadViewBuildFn = std::function<Result<CadView>(
 /// Approximate heap footprint of a view — the byte-budget charge unit.
 /// Exposed so tests and tools can size budgets.
 size_t ApproxCadViewBytes(const CadView& view);
-
-/// Converts a build's partition positions (into a projected DiscretizedTable
-/// whose row order is `fragment_rows`) to base-table row ids for caching.
-CachedPartitions PartitionsToBaseRows(const PartitionSeed& partitions,
-                                      const RowSet& fragment_rows);
-
-/// Intersects a donor's cached partitions (base-table row ids, ascending)
-/// with a strictly-refined fragment's ascending row ids, yielding members as
-/// positions into `fragment_rows` — exactly the partitions a full rescan of
-/// the refined fragment would produce. Codes whose intersection is empty are
-/// dropped (a rescan would count them at frequency zero).
-PartitionSeed IntersectPartitions(const CachedPartitions& base,
-                                  const RowSet& fragment_rows);
 
 }  // namespace dbx

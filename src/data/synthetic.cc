@@ -244,9 +244,12 @@ Result<DiscretizedTable> ScaledUsedCars::Discretize(
   // Pass 1 (one task per range): per-range first-appearance row of every
   // categorical value — merged by min, this reproduces
   // DiscretizedTable::Build's first-appearance label compaction exactly —
-  // plus, in exact binning mode, the numeric values in row order.
+  // plus the numeric values of every `stride`-th row (rows 0, stride,
+  // 2·stride, …; every row in exact mode), in row order.
   constexpr size_t kAbsent = static_cast<size_t>(-1);
-  const bool exact_bins = options.bin_sample == 0;
+  const size_t stride =
+      options.bin_sample == 0 ? 1
+                              : std::max<size_t>(1, rows_ / options.bin_sample);
   struct RangeScan {
     std::array<std::vector<size_t>, kCatAttrs> first_row;
     std::array<std::vector<double>, kNumAttrs> values;
@@ -258,10 +261,8 @@ Result<DiscretizedTable> ScaledUsedCars::Discretize(
         for (size_t a = 0; a < kCatAttrs; ++a) {
           scan.first_row[a].assign(domains.values[a].size(), kAbsent);
         }
-        if (exact_bins) {
-          for (size_t j = 0; j < kNumAttrs; ++j) {
-            scan.values[j].reserve(ranges[s].size());
-          }
+        for (size_t j = 0; j < kNumAttrs; ++j) {
+          scan.values[j].reserve(ranges[s].size() / stride + 1);
         }
         for (size_t i = ranges[s].begin; i < ranges[s].end; ++i) {
           UsedCarRow r = GenerateRow(i);
@@ -271,7 +272,7 @@ Result<DiscretizedTable> ScaledUsedCars::Discretize(
               scan.first_row[a][code] = i;
             }
           }
-          if (exact_bins) {
+          if (i % stride == 0) {
             for (size_t j = 0; j < kNumAttrs; ++j) {
               scan.values[j].push_back(NumValue(j, r));
             }
@@ -304,24 +305,16 @@ Result<DiscretizedTable> ScaledUsedCars::Discretize(
     }
   }
 
-  // Numeric bins: from every value (exact mode, concatenating the per-range
-  // vectors in range order = row order) or from a deterministic strided row
-  // sample — independent of the split either way, so the bins (and hence
-  // every code) are byte-identical for any thread count.
+  // Numeric bins: the per-range strided values concatenated in range order
+  // (= row order). The row set depends only on `stride`, not on the split,
+  // so the bins (and hence every code) are byte-identical for any thread
+  // count.
   std::array<Bins, kNumAttrs> bins;
   for (size_t j = 0; j < kNumAttrs; ++j) {
     std::vector<double> vals;
-    if (exact_bins) {
-      vals.reserve(rows_);
-      for (const RangeScan& scan : scans) {
-        vals.insert(vals.end(), scan.values[j].begin(), scan.values[j].end());
-      }
-    } else {
-      size_t stride = std::max<size_t>(1, rows_ / options.bin_sample);
-      vals.reserve(rows_ / stride + 1);
-      for (size_t i = 0; i < rows_; i += stride) {
-        vals.push_back(NumValue(j, GenerateRow(i)));
-      }
+    vals.reserve(rows_ / stride + 1);
+    for (const RangeScan& scan : scans) {
+      vals.insert(vals.end(), scan.values[j].begin(), scan.values[j].end());
     }
     DBX_ASSIGN_OR_RETURN(
         bins[j],

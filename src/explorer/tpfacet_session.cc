@@ -160,7 +160,9 @@ Result<std::string> TpFacetSession::ExplainAnalyze() {
   std::string text =
       "EXPLAIN ANALYZE tpfacet view (pivot=" + pivot_attr_ + ")\n\n";
   text += RenderSpanTree(tracer.Events());
-  if (cache_ != nullptr) text += ExplainCacheLine(cache_->stats());
+  if (cache_ != nullptr) {
+    text += "cache: " + CacheStatsLine(cache_->stats()) + "\n";
+  }
   return text;
 }
 
@@ -205,35 +207,12 @@ Result<const CadView*> TpFacetSession::View() {
     return ViewCacheKey::Make(dataset_id_, SelectionPredicates(), pivot_attr_,
                               pivot_values_, fingerprint + "|global_domain=1");
   };
-  auto build = [&](const ViewCacheKey* key,
-                   CachedPartitions* partitions) -> Result<CadView> {
-    // Project the engine's full-table discretization onto the current result
-    // set (row ids coincide with discretized positions because the engine
-    // discretizes the whole table).
-    DiscretizedTable projected =
-        facets_.discretized().Project(facets_.result_rows());
-    // Partial reuse: a cached strictly-coarser selection context covers a
-    // superset of the current rows, so intersecting its partition row-id
-    // lists with the current result set reproduces exactly the partitions a
-    // pivot-column rescan would find. Valid only because the codes are the
-    // full table's — per-fragment rediscretization re-compacts codes.
-    PartitionSeed seed;
-    const PartitionSeed* seed_ptr = nullptr;
-    if (key != nullptr) {
-      if (auto base = cache_->FindRefinementBase(*key)) {
-        seed = IntersectPartitions(base->partitions, facets_.result_rows());
-        if (!seed.members_by_code.empty()) seed_ptr = &seed;
-      }
-    }
-    CadViewBuildExtras extras;
-    auto view = BuildCadViewFromDiscretized(
-        projected, options, seed_ptr,
-        partitions != nullptr ? &extras : nullptr);
-    if (view.ok() && partitions != nullptr) {
-      *partitions =
-          PartitionsToBaseRows(extras.partitions, facets_.result_rows());
-    }
-    return view;
+  // Project the engine's full-table discretization onto the current result
+  // set (row ids coincide with discretized positions because the engine
+  // discretizes the whole table).
+  auto build = [&] {
+    return BuildCadViewFromDiscretized(
+        facets_.discretized().Project(facets_.result_rows()), options);
   };
   DBX_ASSIGN_OR_RETURN(CachedBuild built,
                        GetOrBuildCadView(cache_.get(), options, make_key,

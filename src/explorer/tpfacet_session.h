@@ -147,12 +147,11 @@ class TpFacetSession {
   }
 
   /// Attaches a (possibly shared) view cache. Subsequent View() calls look up
-  /// the current (selections, pivot, options) context before building; misses
-  /// insert the finished view, and a cached strictly-coarser context seeds
-  /// the rebuild with its partition row-id lists. `dataset_id` names the
-  /// table *registration* for keying — use a MakeSnapshotDatasetId value
-  /// when the cache is shared, so sessions over different registrations of
-  /// one name can never collide. `owner` attributes this session's inserts
+  /// the current (selections, pivot, options) context before building, and
+  /// misses insert the finished view. `dataset_id` names the table
+  /// *registration* for keying — use a MakeSnapshotDatasetId value when the
+  /// cache is shared, so sessions over different registrations of one name
+  /// can never collide. `owner` attributes this session's inserts
   /// for per-owner byte budgeting in a shared cache ("" = unattributed).
   /// Output is byte-identical with or without a cache. nullptr detaches.
   void SetViewCache(std::shared_ptr<ViewCache> cache, std::string dataset_id,

@@ -364,8 +364,7 @@ Result<ExecOutcome> Engine::ExecuteCreateCadView(CreateCadViewStmt stmt) {
 
   // Cache key for this statement: the WHERE clause (canonical text) is the
   // selection context; ORDER BY joins the params because the cached view is
-  // the post-ORDER-BY result. Engine builds rediscretize each fragment, so
-  // only full hits apply (no partition seeds).
+  // the post-ORDER-BY result.
   auto make_key = [&](const std::string& fingerprint) {
     std::string params = fingerprint + "|ob=";
     for (const auto& [attr_name, ascending] : stmt.order_by) {
@@ -380,7 +379,7 @@ Result<ExecOutcome> Engine::ExecuteCreateCadView(CreateCadViewStmt stmt) {
   // the paper's example keeps exactly those values as the view's rows. We
   // keep the simpler rule: rows = pivot values present in the fragment
   // (identical outcome for such queries since other values were filtered out).
-  auto build = [&](const ViewCacheKey*, CachedPartitions*) -> Result<CadView> {
+  auto build = [&]() -> Result<CadView> {
     TableSlice slice = TableSlice::All(*registration.table);
     if (stmt.where) {
       auto rows = Predicate::Evaluate(stmt.where.get(), slice);
@@ -582,7 +581,9 @@ Result<ExecOutcome> Engine::ExecuteExplain(ExplainStmt stmt, uint64_t parse_ns) 
 
   std::string text = "EXPLAIN ANALYZE " + inner_sql + "\n\n";
   text += RenderSpanTree(tracer.Events());
-  if (cache_ != nullptr) text += ExplainCacheLine(cache_->stats());
+  if (cache_ != nullptr) {
+    text += "cache: " + CacheStatsLine(cache_->stats()) + "\n";
+  }
   text += ThreadPoolStatsLine(ThreadPool::Shared().GetStats()) + "\n";
 
   ExecOutcome out = std::move(**inner_result);

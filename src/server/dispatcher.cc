@@ -226,34 +226,15 @@ std::string Dispatcher::HandleExec(const std::string& sid,
 }
 
 std::string Dispatcher::RenderStats() const {
-  const ViewCacheStats s = cache_->stats();
-  std::string out;
-  out += "hits=" + std::to_string(s.hits);
-  out += " misses=" + std::to_string(s.misses);
-  out += " inserts=" + std::to_string(s.inserts);
-  out += " evictions=" + std::to_string(s.evictions);
-  out += " invalidations=" + std::to_string(s.invalidations);
-  out += " owner_budget_rejects=" + std::to_string(s.owner_budget_rejects);
-  out += " entries=" + std::to_string(s.entries);
-  out += " bytes_in_use=" + std::to_string(s.bytes_in_use);
-  out += " sessions=" + std::to_string(session_count());
-  return out;
+  return CacheStatsLine(cache_->stats()) +
+         " sessions=" + std::to_string(session_count());
 }
 
 std::string Dispatcher::RenderStatusz() const {
   std::string out;
   out += "sessions_active: " + std::to_string(session_count()) + "\n";
   const ViewCacheSnapshot snap = cache_->Snapshot();
-  const ViewCacheStats& s = snap.stats;
-  out += StringPrintf(
-      "cache: hits=%llu misses=%llu inserts=%llu evictions=%llu "
-      "invalidations=%llu entries=%zu bytes_in_use=%zu byte_budget=%zu\n",
-      static_cast<unsigned long long>(s.hits),
-      static_cast<unsigned long long>(s.misses),
-      static_cast<unsigned long long>(s.inserts),
-      static_cast<unsigned long long>(s.evictions),
-      static_cast<unsigned long long>(s.invalidations), s.entries,
-      s.bytes_in_use, s.byte_budget);
+  out += "cache: " + CacheStatsLine(snap.stats) + "\n";
   out += StringPrintf("cache_entries: %zu (MRU first)\n", snap.entries.size());
   for (const ViewCacheEntryInfo& e : snap.entries) {
     out += StringPrintf("  %zuB hits=%llu build_ms=%s %s\n", e.bytes,

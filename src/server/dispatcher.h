@@ -17,7 +17,7 @@
 //   OPEN                            -> OK\n<session-id>
 //   EXEC [@trace=<id>] <sid> <stmt> -> OK\n<rendered statement output>
 //   CLOSE <sid>                     -> OK\nclosed <sid>
-//   STATS                           -> OK\n<shared-cache counters, one line>
+//   STATS                           -> OK\n<CacheStatsLine> sessions=<n>
 //   METRICS                         -> OK\n<Prometheus text exposition>
 // Errors come back as ERR frames (see protocol.h). Sessions opened on a
 // connection are reaped when that connection ends — a dropped client can

@@ -1,8 +1,8 @@
 // Copyright (c) DBExplorer reproduction authors.
 // dbx-benchdiff (DESIGN.md §14): the flattening JSON parser, metric
 // direction classification, regression thresholds (relative + absolute
-// floor), smoke-mode mismatch handling, seeded regressions, the built-in
-// self-test, and the markdown verdict rendering.
+// floor), the refusal to compare runs under different configs, seeded
+// regressions, the built-in self-test, and the markdown verdict rendering.
 
 #include "tools/dbx_benchdiff/benchdiff.h"
 
@@ -29,14 +29,16 @@ constexpr char kServerDoc[] = R"({
 
 // A miniature BENCH_scale.json-shaped document with a nested configs array.
 constexpr char kScaleDoc[] = R"({
-  "bench": "scale_shards",
+  "bench": "scale_threads",
   "smoke": false,
   "rows": 40000,
+  "mode": "exact",
+  "hardware_threads": 4,
   "configs": [
-    {"shards": 1, "best_ms": 100.0, "rows_per_sec": 400000.0},
-    {"shards": 8, "best_ms": 25.0, "rows_per_sec": 1600000.0}
+    {"threads": 1, "best_ms": 100.0, "rows_per_sec": 400000.0},
+    {"threads": 4, "best_ms": 25.0, "rows_per_sec": 1600000.0}
   ],
-  "speedup_max_shards_vs_1": 4.0
+  "speedup_max_threads_vs_1": 4.0
 })";
 
 TEST(ParseFlatJsonTest, FlattensScalarsAndStrings) {
@@ -53,9 +55,10 @@ TEST(ParseFlatJsonTest, FlattensNestedArraysToIndexedPaths) {
   ASSERT_TRUE(doc.ok());
   EXPECT_DOUBLE_EQ(doc->numbers.at("configs.0.best_ms"), 100.0);
   EXPECT_DOUBLE_EQ(doc->numbers.at("configs.1.rows_per_sec"), 1600000.0);
-  EXPECT_DOUBLE_EQ(doc->numbers.at("configs.1.shards"), 8.0);
-  EXPECT_DOUBLE_EQ(doc->numbers.at("speedup_max_shards_vs_1"), 4.0);
+  EXPECT_DOUBLE_EQ(doc->numbers.at("configs.1.threads"), 4.0);
+  EXPECT_DOUBLE_EQ(doc->numbers.at("speedup_max_threads_vs_1"), 4.0);
   EXPECT_EQ(doc->numbers.at("smoke"), 0.0);
+  EXPECT_EQ(doc->strings.at("mode"), "exact");
 }
 
 TEST(ParseFlatJsonTest, HandlesEscapesNullsAndNegatives) {
@@ -85,7 +88,7 @@ TEST(ClassifyMetricTest, DirectionByLastSegment) {
   EXPECT_EQ(ClassifyMetric("qps"), Direction::kHigherBetter);
   EXPECT_EQ(ClassifyMetric("configs.1.rows_per_sec"),
             Direction::kHigherBetter);
-  EXPECT_EQ(ClassifyMetric("speedup_max_shards_vs_1"),
+  EXPECT_EQ(ClassifyMetric("speedup_max_threads_vs_1"),
             Direction::kHigherBetter);
   EXPECT_EQ(ClassifyMetric("smoke"), Direction::kInfo);
   EXPECT_EQ(ClassifyMetric("requests"), Direction::kInfo);
@@ -102,7 +105,7 @@ TEST(DiffBenchJsonTest, IdenticalDocumentsPass) {
   FlatJson doc = MustParse(kServerDoc);
   DiffReport report = DiffBenchJson(doc, doc, DiffOptions{});
   EXPECT_FALSE(report.has_regression());
-  EXPECT_FALSE(report.mode_mismatch);
+  EXPECT_TRUE(report.config_mismatch.empty());
   EXPECT_FALSE(report.rows.empty());
   for (const auto& row : report.rows) EXPECT_FALSE(row.regression);
 }
@@ -165,16 +168,47 @@ TEST(DiffBenchJsonTest, ZeroBaselineSkippedWithNote) {
   }
 }
 
-TEST(DiffBenchJsonTest, SmokeFlagMismatchDegradesToInformational) {
+TEST(DiffBenchJsonTest, SmokeFlagMismatchRefusesToCompare) {
   FlatJson baseline = MustParse(kServerDoc);  // smoke: true
   FlatJson current = baseline;
   current.numbers["smoke"] = 0.0;             // a full run: not comparable
   current.numbers["p95_ms"] = 250.0;          // would be a huge regression
   DiffReport report = DiffBenchJson(baseline, current, DiffOptions{});
-  EXPECT_TRUE(report.mode_mismatch);
+  EXPECT_EQ(report.config_mismatch, "smoke: baseline 1, current 0");
+  EXPECT_TRUE(report.rows.empty());
   EXPECT_FALSE(report.has_regression());
-  std::string md = report.Markdown();
-  EXPECT_NE(md.find("smoke"), std::string::npos);
+
+  // A config leaf missing from one side differs too.
+  current = baseline;
+  current.numbers.erase("smoke");
+  EXPECT_EQ(DiffBenchJson(baseline, current, DiffOptions{}).config_mismatch,
+            "smoke: baseline 1, current absent");
+}
+
+TEST(DiffBenchJsonTest, ThreadCountMismatchRefusesToCompare) {
+  // A 2-thread host's T=2 timings must not be judged against T=4 ones.
+  FlatJson baseline = MustParse(kScaleDoc);
+  FlatJson current = baseline;
+  current.numbers["configs.1.threads"] = 2.0;
+  current.numbers["configs.1.best_ms"] = 50.0;
+  DiffReport report = DiffBenchJson(baseline, current, DiffOptions{});
+  EXPECT_EQ(report.config_mismatch,
+            "configs.1.threads: baseline 4, current 2");
+  EXPECT_TRUE(report.rows.empty());
+
+  current = baseline;
+  current.numbers["hardware_threads"] = 2.0;
+  EXPECT_EQ(DiffBenchJson(baseline, current, DiffOptions{}).config_mismatch,
+            "hardware_threads: baseline 4, current 2");
+
+  current = baseline;
+  current.strings["mode"] = "sampled";
+  EXPECT_EQ(DiffBenchJson(baseline, current, DiffOptions{}).config_mismatch,
+            "mode: baseline \"exact\", current \"sampled\"");
+
+  // Equal configs compare as usual.
+  EXPECT_TRUE(
+      DiffBenchJson(baseline, baseline, DiffOptions{}).config_mismatch.empty());
 }
 
 TEST(SeedRegressionTest, MultipliesMatchingMetrics) {

@@ -5,8 +5,8 @@
 // values can. They cover each partition, ranking and fallback route the
 // builder takes: default options, explicit pivot values (absent and
 // repeated), Optimization 1's sampled ranking, the no-significant-attribute
-// fallback, a 4-thread build, and a build seeded from a coarser cached context
-// the way TpFacetSession seeds one.
+// fallback, a 4-thread build, and a build over a fragment projected from the
+// full-table discretization, the way TpFacetSession builds one.
 //
 // The expected values were recorded once and are never edited. A mismatch
 // means the build's output bytes changed.
@@ -21,7 +21,6 @@
 
 #include "src/core/cad_view_builder.h"
 #include "src/core/cad_view_io.h"
-#include "src/core/view_cache.h"
 #include "src/data/mushroom.h"
 #include "src/data/used_cars.h"
 #include "src/stats/feature_selection.h"
@@ -84,23 +83,14 @@ uint64_t BuildHash(const Table& t, RowSet rows, const CadViewOptions& o) {
   return view.ok() ? ViewHash(std::move(*view)) : 0;
 }
 
-/// A build over `refined` seeded from the cached partitions of a build over
-/// the coarser `coarse` (both projected from the full-table discretization),
-/// as TpFacetSession's partial-reuse path does.
-uint64_t SeededRefinementHash(const Table& t, const RowSet& coarse,
-                              const RowSet& refined, const CadViewOptions& o) {
+/// A build over `rows` projected from the full-table discretization, as
+/// TpFacetSession builds: codes index the whole table's domain.
+uint64_t ProjectedBuildHash(const Table& t, const RowSet& rows,
+                            const CadViewOptions& o) {
   auto dt = DiscretizedTable::Build(TableSlice::All(t), o.discretizer);
   EXPECT_TRUE(dt.ok()) << dt.status().ToString();
   if (!dt.ok()) return 0;
-  CadViewBuildExtras extras;
-  auto coarse_view =
-      BuildCadViewFromDiscretized(dt->Project(coarse), o, nullptr, &extras);
-  EXPECT_TRUE(coarse_view.ok()) << coarse_view.status().ToString();
-  const CachedPartitions cached = PartitionsToBaseRows(extras.partitions,
-                                                       coarse);
-  PartitionSeed seed = IntersectPartitions(cached, refined);
-  EXPECT_FALSE(seed.members_by_code.empty());
-  auto view = BuildCadViewFromDiscretized(dt->Project(refined), o, &seed);
+  auto view = BuildCadViewFromDiscretized(dt->Project(rows), o);
   EXPECT_TRUE(view.ok()) << view.status().ToString();
   return view.ok() ? ViewHash(std::move(*view)) : 0;
 }
@@ -166,8 +156,8 @@ TEST(BuildGoldenTest, UsedCarsBuilds) {
 
   const RowSet suvs = RowsWhere(t, all, "BodyType", "SUV");
   const RowSet suvs_4wd = RowsWhere(t, suvs, "Drivetrain", "4WD");
-  CadViewOptions seeded_values = CarOptions();
-  seeded_values.pivot_values = {"Jeep", "Ford", "NoSuchMake", "Jeep"};
+  CadViewOptions projected_values = CarOptions();
+  projected_values.pivot_values = {"Jeep", "Ford", "NoSuchMake", "Jeep"};
 
   ExpectGoldens({
       {"default", BuildHash(t, all, CarOptions()), 0x831ab0e85d9d1764},
@@ -180,12 +170,10 @@ TEST(BuildGoldenTest, UsedCarsBuilds) {
       {"threaded", BuildHash(t, all, threaded), 0x831ab0e85d9d1764},
       {"threaded_sampled", BuildHash(t, all, threaded_sampled),
        0x489d78e00d7f84be},
-      {"seeded_refinement",
-       SeededRefinementHash(t, suvs, suvs_4wd, CarOptions()),
+      {"projected_refinement", ProjectedBuildHash(t, suvs_4wd, CarOptions()),
        0x03728af8ea0015e7},
-      {"seeded_explicit_values",
-       SeededRefinementHash(t, suvs, suvs_4wd, seeded_values),
-       0xed911ecbb4c9cb0a},
+      {"projected_explicit_values",
+       ProjectedBuildHash(t, suvs_4wd, projected_values), 0xed911ecbb4c9cb0a},
   });
 }
 
@@ -219,8 +207,8 @@ TEST(BuildGoldenTest, MushroomBuilds) {
       {"sampled_ranking", BuildHash(t, all, sampled), 0x61d987d068fb8e7e},
       {"fallback", BuildHash(t, sparse, fallback), 0xfd0a8f37ba01dfe7},
       {"threaded", BuildHash(t, all, threaded), 0x534ca5bc23bcfaa6},
-      {"seeded_refinement",
-       SeededRefinementHash(t, bruised, bruised_broad, MushroomOptions()),
+      {"projected_refinement",
+       ProjectedBuildHash(t, bruised_broad, MushroomOptions()),
        0x86801be9de18317b},
   });
 }

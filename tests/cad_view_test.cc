@@ -719,9 +719,6 @@ TEST(ViewCacheDrillDownTest, ColdAndWarmCacheByteIdenticalAcrossThreads) {
     EXPECT_GT(cold.inserts, 0u);
     // The undo step returns to an already-cached context.
     EXPECT_GT(cold.hits, 0u);
-    // Step 2 strictly refines step 1's empty selection: the rebuild was
-    // seeded from cached partition row lists.
-    EXPECT_GT(cold.refinement_seeds, 0u);
 
     // Warm: a fresh session sharing the populated cache serves hits only.
     EXPECT_EQ(ReplayDrillDown(table, cache, threads), baseline);
@@ -736,14 +733,41 @@ TEST(ViewCacheDrillDownTest, PartiallyEvictedCacheStaysByteIdentical) {
   const std::vector<std::string> baseline = ReplayDrillDown(table, nullptr, 1);
   ASSERT_EQ(baseline.size(), 10u);
 
-  // A budget far below the script's working set forces eviction churn: some
-  // steps hit, some rebuild, and the interleaving must not leak into output.
-  auto cache = std::make_shared<ViewCache>(48u * 1024);
+  // Size the budget from the script's own entries: 1.5x the largest holds
+  // one or two views, far below the working set, so eviction churns — some
+  // steps hit, some rebuild — and the interleaving must not leak into output.
+  auto uncapped = std::make_shared<ViewCache>();
+  EXPECT_EQ(ReplayDrillDown(table, uncapped, 1), baseline);
+  size_t largest = 0;
+  for (const ViewCacheEntryInfo& e : uncapped->Snapshot().entries) {
+    largest = std::max(largest, e.bytes);
+  }
+  ASSERT_GT(largest, 0u);
+
+  auto cache = std::make_shared<ViewCache>(largest + largest / 2);
   EXPECT_EQ(ReplayDrillDown(table, cache, 1), baseline);
   EXPECT_EQ(ReplayDrillDown(table, cache, 2), baseline);
   const ViewCacheStats stats = cache->stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.bytes_in_use, stats.byte_budget);
+}
+
+TEST(ViewCacheDrillDownTest, EntriesAreChargedTheirViewBytesOnly) {
+  // An entry holds the finished view and nothing else, so the budget charge
+  // of every entry a cold replay leaves behind is exactly its view's size.
+  Table table = GenerateMushrooms(1200);
+  auto cache = std::make_shared<ViewCache>();
+  ASSERT_EQ(ReplayDrillDown(table, cache, 1).size(), 10u);
+  const std::vector<ViewCacheEntryInfo> entries = cache->Snapshot().entries;
+  ASSERT_FALSE(entries.empty());
+  for (const ViewCacheEntryInfo& e : entries) {
+    ViewCacheKey key;
+    key.canonical = e.canonical;
+    auto entry = cache->Lookup(key);
+    ASSERT_NE(entry, nullptr) << e.canonical;
+    EXPECT_EQ(entry->bytes, ApproxCadViewBytes(entry->view)) << e.canonical;
+    EXPECT_EQ(e.bytes, entry->bytes) << e.canonical;
+  }
 }
 
 TEST(ViewCacheDrillDownTest, InvalidationForcesRebuildWithIdenticalOutput) {

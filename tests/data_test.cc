@@ -451,6 +451,29 @@ TEST(ScaledUsedCarsTest, SampledBinsShardInvariant) {
   opts.num_threads = 1;
   auto base = gen.Discretize(opts);
   ASSERT_TRUE(base.ok());
+
+  // The sample is rows 0, stride, 2*stride, ... with stride = rows /
+  // bin_sample, so each numeric attribute's bins are BuildBins over exactly
+  // those rows' values.
+  auto table = gen.Materialize();
+  ASSERT_TRUE(table.ok());
+  const size_t stride = gen.num_rows() / opts.bin_sample;
+  size_t numeric = 0;
+  for (size_t a = 0; a < base->num_attrs(); ++a) {
+    const DiscreteAttr& attr = base->attr(a);
+    if (attr.original_type != AttrType::kNumeric) continue;
+    ++numeric;
+    std::vector<double> sample;
+    for (size_t i = 0; i < table->num_rows(); i += stride) {
+      sample.push_back(table->col(a).NumberAt(i));
+    }
+    auto want = BuildBins(std::move(sample), opts.discretizer.max_numeric_bins,
+                          opts.discretizer.strategy);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(attr.bins.edges, want->edges) << "attr " << attr.name;
+  }
+  EXPECT_EQ(numeric, 4u);
+
   for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
     opts.num_threads = threads;
     auto other = gen.Discretize(opts);

@@ -1,5 +1,5 @@
 // Tests for the CAD View cache layer: key canonicalization, LRU eviction at
-// the byte budget, invalidation, statistics, refinement-base matching, and
+// the byte budget, invalidation, statistics, per-owner budgets, and
 // concurrent lookup/insert hammering on the thread pool.
 
 #include "src/core/view_cache.h"
@@ -44,14 +44,15 @@ TEST(ViewCacheKeyTest, PredicateOrderAndWhitespaceInsensitive) {
   ViewCacheKey a = MakeKey("m", {"a = 1", "b = 2"});
   ViewCacheKey b = MakeKey("m", {"b   =  2", "a =\t1"});
   EXPECT_EQ(a.canonical, b.canonical);
-  EXPECT_EQ(a.predicates, b.predicates);
+  EXPECT_EQ(a.canonical,
+            "ds|1:m;pred|5:a = 1;pred|5:b = 2;pivot|5:Class;params|2:fp;");
 }
 
 TEST(ViewCacheKeyTest, DuplicatePredicatesCollapse) {
   ViewCacheKey a = MakeKey("m", {"a = 1", "a  =  1", "a = 1"});
   ViewCacheKey b = MakeKey("m", {"a = 1"});
   EXPECT_EQ(a.canonical, b.canonical);
-  EXPECT_EQ(a.predicates.size(), 1u);
+  EXPECT_EQ(a.canonical, "ds|1:m;pred|5:a = 1;pivot|5:Class;params|2:fp;");
 }
 
 TEST(ViewCacheKeyTest, EveryComponentDistinguishes) {
@@ -117,11 +118,30 @@ TEST(CadViewOptionsFingerprintTest, OpaquePreferenceIsUncacheable) {
   EXPECT_FALSE(CadViewOptionsFingerprint(o).has_value());
 }
 
+TEST(CacheStatsLineTest, PrintsEveryCounterInDeclarationOrder) {
+  ViewCacheStats stats;
+  stats.hits = 1;
+  stats.misses = 2;
+  stats.inserts = 3;
+  stats.evictions = 4;
+  stats.invalidations = 5;
+  stats.oversize_rejects = 6;
+  stats.owner_budget_rejects = 7;
+  stats.hit_saved_ms = 8.5;
+  stats.bytes_in_use = 9;
+  stats.entries = 10;
+  stats.byte_budget = 11;
+  EXPECT_EQ(CacheStatsLine(stats),
+            "hits=1 misses=2 inserts=3 evictions=4 invalidations=5 "
+            "oversize_rejects=6 owner_budget_rejects=7 hit_saved_ms=8.500 "
+            "bytes_in_use=9 entries=10 byte_budget=11");
+}
+
 TEST(ViewCacheTest, LookupMissThenHit) {
   ViewCache cache(1u << 20);
   ViewCacheKey key = MakeKey("m", {"a = 1"});
   EXPECT_EQ(cache.Lookup(key), nullptr);
-  cache.Insert(key, MakeViewOfSize(100), CachedPartitions{}, 12.5);
+  cache.Insert(key, MakeViewOfSize(100), 12.5);
   auto hit = cache.Lookup(key);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->view.rows.size(), 1u);
@@ -138,11 +158,11 @@ TEST(ViewCacheTest, LookupMissThenHit) {
 TEST(ViewCacheTest, HitCountersPerEntry) {
   ViewCache cache(1u << 20);
   ViewCacheKey key = MakeKey("m", {"a = 1"});
-  cache.Insert(key, MakeViewOfSize(10), CachedPartitions{}, 1.0);
+  cache.Insert(key, MakeViewOfSize(10), 1.0);
   cache.Lookup(key);
   cache.Lookup(key);
   cache.Lookup(key);
-  auto infos = cache.EntryInfos();
+  auto infos = cache.Snapshot().entries;
   ASSERT_EQ(infos.size(), 1u);
   EXPECT_EQ(infos[0].hits, 3u);
 }
@@ -156,11 +176,11 @@ TEST(ViewCacheTest, EvictsLeastRecentlyUsedAtByteBudget) {
   ViewCacheKey k1 = MakeKey("m", {"a = 1"});
   ViewCacheKey k2 = MakeKey("m", {"a = 2"});
   ViewCacheKey k3 = MakeKey("m", {"a = 3"});
-  cache.Insert(k1, MakeViewOfSize(payload), CachedPartitions{}, 1.0);
-  cache.Insert(k2, MakeViewOfSize(payload), CachedPartitions{}, 1.0);
+  cache.Insert(k1, MakeViewOfSize(payload), 1.0);
+  cache.Insert(k2, MakeViewOfSize(payload), 1.0);
   // Touch k1 so k2 is the LRU victim.
   ASSERT_NE(cache.Lookup(k1), nullptr);
-  cache.Insert(k3, MakeViewOfSize(payload), CachedPartitions{}, 1.0);
+  cache.Insert(k3, MakeViewOfSize(payload), 1.0);
 
   EXPECT_NE(cache.Lookup(k1), nullptr);
   EXPECT_EQ(cache.Lookup(k2), nullptr) << "LRU entry should have been evicted";
@@ -175,7 +195,7 @@ TEST(ViewCacheTest, EvictsLeastRecentlyUsedAtByteBudget) {
 TEST(ViewCacheTest, EntryLargerThanBudgetIsRejected) {
   ViewCache cache(512);
   ViewCacheKey key = MakeKey("m", {"a = 1"});
-  cache.Insert(key, MakeViewOfSize(4096), CachedPartitions{}, 1.0);
+  cache.Insert(key, MakeViewOfSize(4096), 1.0);
   EXPECT_EQ(cache.Lookup(key), nullptr);
   EXPECT_EQ(cache.stats().oversize_rejects, 1u);
   EXPECT_EQ(cache.stats().entries, 0u);
@@ -186,12 +206,11 @@ TEST(ViewCacheTest, EvictedEntryRemainsValidForHolders) {
   const size_t entry_bytes = ApproxCadViewBytes(MakeViewOfSize(payload));
   ViewCache cache(entry_bytes + entry_bytes / 2);
   ViewCacheKey k1 = MakeKey("m", {"a = 1"});
-  cache.Insert(k1, MakeViewOfSize(payload, "keepme"), CachedPartitions{}, 1.0);
+  cache.Insert(k1, MakeViewOfSize(payload, "keepme"), 1.0);
   auto held = cache.Lookup(k1);
   ASSERT_NE(held, nullptr);
   // Force k1 out.
-  cache.Insert(MakeKey("m", {"a = 2"}), MakeViewOfSize(payload),
-               CachedPartitions{}, 1.0);
+  cache.Insert(MakeKey("m", {"a = 2"}), MakeViewOfSize(payload), 1.0);
   EXPECT_EQ(cache.Lookup(k1), nullptr);
   EXPECT_EQ(held->view.pivot_attr, "keepme");  // still usable
 }
@@ -200,8 +219,8 @@ TEST(ViewCacheTest, InvalidateDatasetDropsOnlyThatDataset) {
   ViewCache cache(1u << 20);
   ViewCacheKey km = MakeKey("mushroom", {"a = 1"});
   ViewCacheKey kc = MakeKey("cars", {"a = 1"});
-  cache.Insert(km, MakeViewOfSize(64), CachedPartitions{}, 1.0);
-  cache.Insert(kc, MakeViewOfSize(64), CachedPartitions{}, 1.0);
+  cache.Insert(km, MakeViewOfSize(64), 1.0);
+  cache.Insert(kc, MakeViewOfSize(64), 1.0);
 
   cache.InvalidateDataset("mushroom");
   EXPECT_EQ(cache.Lookup(km), nullptr);
@@ -212,150 +231,12 @@ TEST(ViewCacheTest, InvalidateDatasetDropsOnlyThatDataset) {
 
 TEST(ViewCacheTest, ClearDropsEverything) {
   ViewCache cache(1u << 20);
-  cache.Insert(MakeKey("a", {}), MakeViewOfSize(64), CachedPartitions{}, 1.0);
-  cache.Insert(MakeKey("b", {}), MakeViewOfSize(64), CachedPartitions{}, 1.0);
+  cache.Insert(MakeKey("a", {}), MakeViewOfSize(64), 1.0);
+  cache.Insert(MakeKey("b", {}), MakeViewOfSize(64), 1.0);
   cache.Clear();
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().bytes_in_use, 0u);
   EXPECT_EQ(cache.stats().invalidations, 2u);
-}
-
-CachedPartitions OnePartition(int32_t code, std::vector<uint32_t> rows) {
-  CachedPartitions parts;
-  parts.rows_by_code.emplace_back(code, std::move(rows));
-  return parts;
-}
-
-TEST(ViewCacheTest, FindRefinementBaseMatchesStrictSubset) {
-  ViewCache cache(1u << 20);
-  ViewCacheKey coarse = MakeKey("m", {"a = 1"});
-  cache.Insert(coarse, MakeViewOfSize(64), OnePartition(0, {1, 2, 3}), 1.0);
-
-  // {"a = 1"} is a strict subset of {"a = 1", "b = 2"}.
-  auto base = cache.FindRefinementBase(MakeKey("m", {"a = 1", "b = 2"}));
-  ASSERT_NE(base, nullptr);
-  EXPECT_EQ(base->partitions.rows_by_code.size(), 1u);
-  EXPECT_EQ(cache.stats().refinement_seeds, 1u);
-
-  // The same predicate set is NOT a strict subset (that's a full hit, not a
-  // refinement), and a disjoint set does not match either.
-  EXPECT_EQ(cache.FindRefinementBase(MakeKey("m", {"a = 1"})), nullptr);
-  EXPECT_EQ(cache.FindRefinementBase(MakeKey("m", {"c = 3", "d = 4"})),
-            nullptr);
-}
-
-TEST(ViewCacheTest, FindRefinementBaseRequiresSameContext) {
-  ViewCache cache(1u << 20);
-  cache.Insert(MakeKey("m", {"a = 1"}), MakeViewOfSize(64),
-               OnePartition(0, {1}), 1.0);
-  // Different dataset / params / pivot attr: no match.
-  EXPECT_EQ(cache.FindRefinementBase(MakeKey("other", {"a = 1", "b = 2"})),
-            nullptr);
-  EXPECT_EQ(
-      cache.FindRefinementBase(MakeKey("m", {"a = 1", "b = 2"}, "fp-other")),
-      nullptr);
-  EXPECT_EQ(cache.FindRefinementBase(ViewCacheKey::Make(
-                "m", {"a = 1", "b = 2"}, "OtherPivot", {}, "fp")),
-            nullptr);
-}
-
-TEST(ViewCacheTest, FindRefinementBaseSkipsEntriesWithoutPartitions) {
-  ViewCache cache(1u << 20);
-  cache.Insert(MakeKey("m", {"a = 1"}), MakeViewOfSize(64), CachedPartitions{},
-               1.0);
-  EXPECT_EQ(cache.FindRefinementBase(MakeKey("m", {"a = 1", "b = 2"})),
-            nullptr);
-}
-
-TEST(ViewCacheTest, FindRefinementBasePrefersMostRefinedDonor) {
-  ViewCache cache(1u << 20);
-  cache.Insert(MakeKey("m", {}), MakeViewOfSize(64), OnePartition(0, {1}),
-               1.0);
-  cache.Insert(MakeKey("m", {"a = 1"}), MakeViewOfSize(64),
-               OnePartition(0, {2}), 1.0);
-  cache.Insert(MakeKey("m", {"a = 1", "b = 2"}), MakeViewOfSize(64),
-               OnePartition(0, {3}), 1.0);
-
-  auto base =
-      cache.FindRefinementBase(MakeKey("m", {"a = 1", "b = 2", "c = 3"}));
-  ASSERT_NE(base, nullptr);
-  // The two-predicate donor is the most refined subset: smallest superset
-  // fragment, cheapest intersection.
-  ASSERT_EQ(base->partitions.rows_by_code.size(), 1u);
-  EXPECT_EQ(base->partitions.rows_by_code[0].second,
-            std::vector<uint32_t>({3}));
-}
-
-TEST(ViewCacheTest, FindRefinementBasePivotValueRules) {
-  ViewCache cache(1u << 20);
-  ViewCacheKey all_values =
-      ViewCacheKey::Make("m", {"a = 1"}, "Class", {}, "fp");
-  cache.Insert(all_values, MakeViewOfSize(64), OnePartition(0, {1}), 1.0);
-
-  // Donor with all pivot values seeds any pivot-value restriction.
-  EXPECT_NE(cache.FindRefinementBase(ViewCacheKey::Make(
-                "m", {"a = 1", "b = 2"}, "Class", {"e"}, "fp")),
-            nullptr);
-
-  cache.Clear();
-  ViewCacheKey restricted =
-      ViewCacheKey::Make("m", {"a = 1"}, "Class", {"e"}, "fp");
-  cache.Insert(restricted, MakeViewOfSize(64), OnePartition(0, {1}), 1.0);
-  // A value-restricted donor only seeds identical value lists.
-  EXPECT_NE(cache.FindRefinementBase(ViewCacheKey::Make(
-                "m", {"a = 1", "b = 2"}, "Class", {"e"}, "fp")),
-            nullptr);
-  EXPECT_EQ(cache.FindRefinementBase(ViewCacheKey::Make(
-                "m", {"a = 1", "b = 2"}, "Class", {"p"}, "fp")),
-            nullptr);
-  EXPECT_EQ(cache.FindRefinementBase(ViewCacheKey::Make(
-                "m", {"a = 1", "b = 2"}, "Class", {}, "fp")),
-            nullptr);
-}
-
-TEST(PartitionConversionTest, RoundTripThroughBaseRows) {
-  // Fragment rows (base ids) and per-code members as positions into them.
-  RowSet fragment = {10, 20, 30, 40, 50};
-  PartitionSeed seed;
-  seed.members_by_code.emplace_back(0, std::vector<size_t>{0, 2});
-  seed.members_by_code.emplace_back(3, std::vector<size_t>{1, 3, 4});
-
-  CachedPartitions cached = PartitionsToBaseRows(seed, fragment);
-  ASSERT_EQ(cached.rows_by_code.size(), 2u);
-  EXPECT_EQ(cached.rows_by_code[0].second, std::vector<uint32_t>({10, 30}));
-  EXPECT_EQ(cached.rows_by_code[1].second,
-            std::vector<uint32_t>({20, 40, 50}));
-
-  // Intersecting with the same fragment reproduces the seed.
-  PartitionSeed back = IntersectPartitions(cached, fragment);
-  ASSERT_EQ(back.members_by_code.size(), 2u);
-  EXPECT_EQ(back.members_by_code[0].second, seed.members_by_code[0].second);
-  EXPECT_EQ(back.members_by_code[1].second, seed.members_by_code[1].second);
-}
-
-TEST(PartitionConversionTest, IntersectWithRefinedFragment) {
-  CachedPartitions cached;
-  cached.rows_by_code.emplace_back(0, std::vector<uint32_t>{10, 30, 50});
-  cached.rows_by_code.emplace_back(1, std::vector<uint32_t>{20, 40});
-
-  // The refined fragment kept rows 30, 40, 50 only.
-  RowSet refined = {30, 40, 50};
-  PartitionSeed seed = IntersectPartitions(cached, refined);
-  ASSERT_EQ(seed.members_by_code.size(), 2u);
-  EXPECT_EQ(seed.members_by_code[0].first, 0);
-  EXPECT_EQ(seed.members_by_code[0].second, std::vector<size_t>({0, 2}));
-  EXPECT_EQ(seed.members_by_code[1].first, 1);
-  EXPECT_EQ(seed.members_by_code[1].second, std::vector<size_t>({1}));
-}
-
-TEST(PartitionConversionTest, EmptyIntersectionsAreDropped) {
-  CachedPartitions cached;
-  cached.rows_by_code.emplace_back(0, std::vector<uint32_t>{10});
-  cached.rows_by_code.emplace_back(1, std::vector<uint32_t>{20});
-  RowSet refined = {20};
-  PartitionSeed seed = IntersectPartitions(cached, refined);
-  ASSERT_EQ(seed.members_by_code.size(), 1u);
-  EXPECT_EQ(seed.members_by_code[0].first, 1);
 }
 
 TEST(ViewCacheTest, ConcurrentLookupInsertHammering) {
@@ -372,11 +253,8 @@ TEST(ViewCacheTest, ConcurrentLookupInsertHammering) {
         ViewCacheKey key =
             MakeKey("m", {"a = " + std::to_string(i % 16)});
         if (cache.Lookup(key) == nullptr) {
-          cache.Insert(key, MakeViewOfSize(payload), CachedPartitions{},
-                       1.0);
+          cache.Insert(key, MakeViewOfSize(payload), 1.0);
         }
-        cache.FindRefinementBase(
-            MakeKey("m", {"a = " + std::to_string(i % 16), "b = 1"}));
         if (i % 64 == 0) cache.InvalidateDataset("m");
         ViewCacheStats stats = cache.stats();
         if (stats.bytes_in_use > stats.byte_budget) {
@@ -406,18 +284,15 @@ TEST(SnapshotDatasetIdTest, DistinctPerRegistration) {
 }
 
 TEST(SnapshotDatasetIdTest, KeysOverDistinctSnapshotsNeverCollide) {
-  // The stale-partition scenario: two sessions register different tables
+  // The stale-view scenario: two sessions register different tables
   // under the same name into one shared cache. Snapshot ids keep the
   // identical build request from hitting the other session's entry.
   ViewCache cache;
   const std::string snap1 = MakeSnapshotDatasetId("T");
   const std::string snap2 = MakeSnapshotDatasetId("T");
-  cache.Insert(MakeKey(snap1, {"a = 1"}), MakeViewOfSize(100), {}, 1.0);
+  cache.Insert(MakeKey(snap1, {"a = 1"}), MakeViewOfSize(100), 1.0);
   EXPECT_EQ(cache.Lookup(MakeKey(snap2, {"a = 1"})), nullptr);
   EXPECT_NE(cache.Lookup(MakeKey(snap1, {"a = 1"})), nullptr);
-  // Refinement seeding must not cross snapshots either.
-  EXPECT_EQ(cache.FindRefinementBase(MakeKey(snap2, {"a = 1", "b = 2"})),
-            nullptr);
 }
 
 // --- Per-owner byte budgets --------------------------------------------------
@@ -426,7 +301,7 @@ TEST(ViewCacheOwnerTest, AttributesAndReleasesBytes) {
   ViewCache cache(1u << 20);
   CadView v = MakeViewOfSize(1000);
   const size_t bytes = ApproxCadViewBytes(v);
-  cache.Insert(MakeKey("m", {"a = 1"}), std::move(v), {}, 1.0, "s1");
+  cache.Insert(MakeKey("m", {"a = 1"}), std::move(v), 1.0, "s1");
   EXPECT_EQ(cache.OwnerBytes("s1"), bytes);
   EXPECT_EQ(cache.OwnerBytes("s2"), 0u);
   cache.InvalidateDataset("m");
@@ -439,11 +314,11 @@ TEST(ViewCacheOwnerTest, BudgetRejectsInsertThatWouldExceedIt) {
   const size_t first_bytes = ApproxCadViewBytes(first);
   // Budget admits exactly the first entry.
   cache.SetOwnerBudget("s1", first_bytes);
-  cache.Insert(MakeKey("m", {"a = 1"}), std::move(first), {}, 1.0, "s1");
+  cache.Insert(MakeKey("m", {"a = 1"}), std::move(first), 1.0, "s1");
   EXPECT_EQ(cache.OwnerBytes("s1"), first_bytes);
   EXPECT_EQ(cache.stats().inserts, 1u);
 
-  cache.Insert(MakeKey("m", {"a = 2"}), MakeViewOfSize(1000), {}, 1.0, "s1");
+  cache.Insert(MakeKey("m", {"a = 2"}), MakeViewOfSize(1000), 1.0, "s1");
   ViewCacheStats stats = cache.stats();
   EXPECT_EQ(stats.owner_budget_rejects, 1u);
   EXPECT_EQ(stats.inserts, 1u);
@@ -452,8 +327,8 @@ TEST(ViewCacheOwnerTest, BudgetRejectsInsertThatWouldExceedIt) {
   EXPECT_EQ(cache.OwnerBytes("s1"), first_bytes);
 
   // Another owner and unattributed inserts are unaffected by s1's budget.
-  cache.Insert(MakeKey("m", {"a = 3"}), MakeViewOfSize(1000), {}, 1.0, "s2");
-  cache.Insert(MakeKey("m", {"a = 4"}), MakeViewOfSize(1000), {}, 1.0);
+  cache.Insert(MakeKey("m", {"a = 3"}), MakeViewOfSize(1000), 1.0, "s2");
+  cache.Insert(MakeKey("m", {"a = 4"}), MakeViewOfSize(1000), 1.0);
   EXPECT_EQ(cache.stats().entries, 3u);
 }
 
@@ -462,11 +337,11 @@ TEST(ViewCacheOwnerTest, InvalidationFreesBudgetForNewInserts) {
   CadView v = MakeViewOfSize(1000);
   const size_t bytes = ApproxCadViewBytes(v);
   cache.SetOwnerBudget("s1", bytes);
-  cache.Insert(MakeKey("m", {"a = 1"}), std::move(v), {}, 1.0, "s1");
+  cache.Insert(MakeKey("m", {"a = 1"}), std::move(v), 1.0, "s1");
   cache.InvalidateDataset("m");
   // The owner's attribution was released with the entry, so the budget
   // admits a new insert of the same size.
-  cache.Insert(MakeKey("m", {"a = 2"}), MakeViewOfSize(1000), {}, 1.0, "s1");
+  cache.Insert(MakeKey("m", {"a = 2"}), MakeViewOfSize(1000), 1.0, "s1");
   EXPECT_EQ(cache.stats().owner_budget_rejects, 0u);
   EXPECT_EQ(cache.OwnerBytes("s1"), bytes);
 }
@@ -476,8 +351,8 @@ TEST(ViewCacheOwnerTest, EvictionReleasesOwnerBytes) {
   const size_t bytes = ApproxCadViewBytes(probe);
   // A cache sized for one entry: the second insert evicts the first.
   ViewCache cache(bytes + bytes / 2);
-  cache.Insert(MakeKey("m", {"a = 1"}), std::move(probe), {}, 1.0, "s1");
-  cache.Insert(MakeKey("m", {"a = 2"}), MakeViewOfSize(1000), {}, 1.0, "s2");
+  cache.Insert(MakeKey("m", {"a = 1"}), std::move(probe), 1.0, "s1");
+  cache.Insert(MakeKey("m", {"a = 2"}), MakeViewOfSize(1000), 1.0, "s2");
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.OwnerBytes("s1"), 0u);
   EXPECT_EQ(cache.OwnerBytes("s2"), bytes);
@@ -486,10 +361,10 @@ TEST(ViewCacheOwnerTest, EvictionReleasesOwnerBytes) {
 TEST(ViewCacheOwnerTest, ZeroBudgetRemovesTheCap) {
   ViewCache cache(1u << 20);
   cache.SetOwnerBudget("s1", 1);  // rejects everything
-  cache.Insert(MakeKey("m", {"a = 1"}), MakeViewOfSize(1000), {}, 1.0, "s1");
+  cache.Insert(MakeKey("m", {"a = 1"}), MakeViewOfSize(1000), 1.0, "s1");
   EXPECT_EQ(cache.stats().owner_budget_rejects, 1u);
   cache.SetOwnerBudget("s1", 0);  // cap removed
-  cache.Insert(MakeKey("m", {"a = 2"}), MakeViewOfSize(1000), {}, 1.0, "s1");
+  cache.Insert(MakeKey("m", {"a = 2"}), MakeViewOfSize(1000), 1.0, "s1");
   EXPECT_EQ(cache.stats().entries, 1u);
   EXPECT_GT(cache.OwnerBytes("s1"), 0u);
 }

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <set>
 
 #include "src/util/string_util.h"
 
@@ -174,6 +175,45 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+// Leaves that say how a run was configured rather than what it measured.
+bool IsConfigLeaf(const std::string& path) {
+  const std::string last = LastSegment(path);
+  return last == "smoke" || last == "rows" || last == "mode" ||
+         last == "hardware_threads" || last == "threads";
+}
+
+// A leaf's value as text, exact for numbers; "absent" when `doc` lacks it.
+std::string LeafText(const FlatJson& doc, const std::string& path) {
+  if (auto it = doc.numbers.find(path); it != doc.numbers.end()) {
+    return StringPrintf("%.17g", it->second);
+  }
+  if (auto it = doc.strings.find(path); it != doc.strings.end()) {
+    return "\"" + it->second + "\"";
+  }
+  return "absent";
+}
+
+// "<leaf>: baseline <v>, current <v>" for the first config leaf (in path
+// order) whose value differs between the documents; "" when none does.
+std::string FirstConfigMismatch(const FlatJson& baseline,
+                                const FlatJson& current) {
+  std::set<std::string> paths;
+  for (const FlatJson* doc : {&baseline, &current}) {
+    for (const auto& [path, value] : doc->numbers) {
+      if (IsConfigLeaf(path)) paths.insert(path);
+    }
+    for (const auto& [path, value] : doc->strings) {
+      if (IsConfigLeaf(path)) paths.insert(path);
+    }
+  }
+  for (const std::string& path : paths) {
+    const std::string base = LeafText(baseline, path);
+    const std::string cur = LeafText(current, path);
+    if (base != cur) return path + ": baseline " + base + ", current " + cur;
+  }
+  return "";
+}
+
 const char* VerdictLabel(const MetricDiff& d) {
   if (d.regression) return "**REGRESSION**";
   switch (d.direction) {
@@ -198,7 +238,6 @@ Result<FlatJson> ParseFlatJson(const std::string& text) {
 
 Direction ClassifyMetric(const std::string& path) {
   const std::string last = LastSegment(path);
-  if (last == "smoke") return Direction::kInfo;  // mode flag, not a metric
   if (EndsWith(last, "_ms") || last == "errors") return Direction::kLowerBetter;
   if (last == "qps" || EndsWith(last, "per_sec") ||
       last.rfind("speedup", 0) == 0) {
@@ -220,10 +259,6 @@ std::string DiffReport::Markdown() const {
   out += StringPrintf("threshold: %.0f%%, min_abs_ms: %s\n\n",
                       options.threshold * 100.0,
                       FormatDouble(options.min_abs_ms, 3).c_str());
-  if (mode_mismatch) {
-    out += "> smoke-flag mismatch: runs are not comparable, every row is "
-           "informational\n\n";
-  }
   out += "| metric | baseline | current | change | verdict |\n";
   out += "|---|---:|---:|---:|---|\n";
   for (const MetricDiff& d : rows) {
@@ -244,11 +279,8 @@ DiffReport DiffBenchJson(const FlatJson& baseline, const FlatJson& current,
                          const DiffOptions& options) {
   DiffReport report;
   report.options = options;
-  const auto smoke_of = [](const FlatJson& doc) {
-    auto it = doc.numbers.find("smoke");
-    return it == doc.numbers.end() ? -1.0 : it->second;
-  };
-  report.mode_mismatch = smoke_of(baseline) != smoke_of(current);
+  report.config_mismatch = FirstConfigMismatch(baseline, current);
+  if (!report.config_mismatch.empty()) return report;
   for (const auto& [key, base_value] : baseline.numbers) {
     auto it = current.numbers.find(key);
     if (it == current.numbers.end()) continue;
@@ -257,10 +289,6 @@ DiffReport DiffBenchJson(const FlatJson& baseline, const FlatJson& current,
     d.baseline = base_value;
     d.current = it->second;
     d.direction = ClassifyMetric(key);
-    if (report.mode_mismatch) {
-      d.direction = Direction::kInfo;
-      d.note = "smoke-flag mismatch";
-    }
     if (base_value > 0.0) {
       d.rel_change = (d.current - d.baseline) / d.baseline;
       const double abs_delta = std::abs(d.current - d.baseline);
@@ -295,11 +323,15 @@ size_t SeedRegression(FlatJson* doc, const std::string& key_suffix,
 Status RunSelfTest() {
   const std::string sample =
       "{\n"
-      "  \"bench\": \"server_load\", \"smoke\": true,\n"
-      "  \"requests\": 120, \"errors\": 0, \"wall_ms\": 250.0,\n"
-      "  \"qps\": 480.0, \"p50_ms\": 1.5, \"p95_ms\": 4.0, \"p99_ms\": 9.0,\n"
-      "  \"configs\": [{\"shards\": 1, \"best_ms\": 20.0},\n"
-      "                {\"shards\": 4, \"best_ms\": 6.0}]\n"
+      "  \"bench\": \"scale_threads\", \"smoke\": true, \"rows\": 40000,\n"
+      "  \"mode\": \"exact\", \"hardware_threads\": 4,\n"
+      "  \"configs\": [\n"
+      "    {\"threads\": 1, \"best_ms\": 38.0, \"rows_per_sec\": 1052631.6,\n"
+      "     \"p50_ms\": 37.5, \"p95_ms\": 48.75},\n"
+      "    {\"threads\": 4, \"best_ms\": 12.0, \"rows_per_sec\": 3333333.3,\n"
+      "     \"p50_ms\": 12.5, \"p95_ms\": 16.25}\n"
+      "  ],\n"
+      "  \"speedup_max_threads_vs_1\": 3.167\n"
       "}\n";
   auto baseline = ParseFlatJson(sample);
   if (!baseline.ok()) {
@@ -323,12 +355,20 @@ Status RunSelfTest() {
     return Status::Internal("self-test: seeding touched no metric");
   }
   const DiffReport regressed = DiffBenchJson(*baseline, seeded, options);
-  bool p95_flagged = false;
+  size_t p95_flagged = 0;
   for (const MetricDiff& d : regressed.rows) {
-    if (d.key == "p95_ms") p95_flagged = d.regression;
+    if (LastSegment(d.key) == "p95_ms" && d.regression) ++p95_flagged;
   }
-  if (!p95_flagged) {
+  if (p95_flagged != 2) {
     return Status::Internal("self-test: seeded p95 regression not flagged");
+  }
+
+  FlatJson fewer_threads = *baseline;
+  fewer_threads.numbers["configs.1.threads"] = 2.0;
+  const DiffReport mismatched =
+      DiffBenchJson(*baseline, fewer_threads, options);
+  if (mismatched.config_mismatch.empty() || !mismatched.rows.empty()) {
+    return Status::Internal("self-test: a thread-count mismatch was compared");
   }
   return Status::OK();
 }

@@ -13,9 +13,12 @@
 // A lower-better metric regresses when current > baseline * (1 + threshold)
 // AND (current - baseline) >= min_abs_ms (absolute floor, so microsecond
 // noise on tiny smoke runs cannot gate); higher-better mirrors that. A
-// baseline value <= 0 is skipped (no meaningful ratio). When the two
-// documents disagree on the "smoke" flag the runs are not comparable and
-// every row degrades to informational with a note.
+// baseline value <= 0 is skipped (no meaningful ratio).
+//
+// Config leaves — those whose last segment is smoke, rows, mode,
+// hardware_threads or threads — describe the run, not its speed. When one
+// differs between the documents (or is missing from one), the runs are not
+// comparable: the report names the leaf and compares nothing.
 
 #pragma once
 
@@ -61,14 +64,16 @@ struct MetricDiff {
   /// (current - baseline) / baseline; 0 when baseline <= 0.
   double rel_change = 0.0;
   bool regression = false;
-  std::string note;  // "smoke-flag mismatch", "baseline <= 0", ...
+  std::string note;  // "baseline <= 0, skipped"
 };
 
 struct DiffReport {
   std::string baseline_name;
   std::string current_name;
   DiffOptions options;
-  bool mode_mismatch = false;  // smoke flags disagree; nothing gates
+  /// "<leaf>: baseline <v>, current <v>" for the first differing config
+  /// leaf; empty when the runs are comparable. When set, `rows` is empty.
+  std::string config_mismatch;
   std::vector<MetricDiff> rows;
 
   [[nodiscard]] bool has_regression() const;
@@ -76,7 +81,8 @@ struct DiffReport {
   [[nodiscard]] std::string Markdown() const;
 };
 
-/// Compares every numeric metric present in both documents.
+/// Compares every numeric metric present in both documents, unless a config
+/// leaf differs (see the header comment).
 [[nodiscard]] DiffReport DiffBenchJson(const FlatJson& baseline,
                                        const FlatJson& current,
                                        const DiffOptions& options);
@@ -88,9 +94,10 @@ struct DiffReport {
 size_t SeedRegression(FlatJson* doc, const std::string& key_suffix,
                       double factor);
 
-/// Built-in self-test: an identical compare must pass and a seeded >=
-/// (1 + 2 * threshold) p95 regression must fail, at the default options.
-/// OK when both behave; Internal with a description otherwise.
+/// Built-in self-test over a BENCH_scale.json-shaped sample: an identical
+/// compare must pass, a seeded (1 + 2 * threshold) p95 regression must fail
+/// at the default options, and a changed `configs.1.threads` must refuse to
+/// compare. OK when all three behave; Internal with a description otherwise.
 [[nodiscard]] Status RunSelfTest();
 
 }  // namespace dbx::benchdiff

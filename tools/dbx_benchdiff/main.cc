@@ -10,7 +10,8 @@
 //   dbx_benchdiff --self-test
 //
 // Exit codes: 0 = no regression, 1 = regression (or failed self-test),
-// 2 = usage / IO / parse error.
+// 2 = usage / IO / parse error, or runs under different configs (a config
+// leaf such as hardware_threads differs; no verdict table is printed).
 
 #include <cstdio>
 #include <cstring>
@@ -175,6 +176,7 @@ int main(int argc, char** argv) {
 
   std::string report_md;
   bool any_regression = false;
+  bool any_mismatch = false;
   for (const auto& [name, paths] : pairs) {
     std::string base_text;
     std::string cur_text;
@@ -204,11 +206,21 @@ int main(int argc, char** argv) {
                    changed, seed_key.c_str(), seed_factor);
     }
     DiffReport report = DiffBenchJson(*base, *cur, options);
+    if (!report.config_mismatch.empty()) {
+      std::fprintf(stderr,
+                   "benchdiff: %s vs %s: runs under different configs, not "
+                   "compared: %s\n",
+                   paths.first.c_str(), paths.second.c_str(),
+                   report.config_mismatch.c_str());
+      any_mismatch = true;
+      continue;
+    }
     report.baseline_name = paths.first;
     report.current_name = paths.second;
     report_md += report.Markdown() + "\n";
     any_regression = any_regression || report.has_regression();
   }
+  if (any_mismatch) return 2;
 
   if (!out_path.empty()) {
     std::ofstream out(out_path, std::ios::binary);
