@@ -29,8 +29,8 @@ cd "$(dirname "$0")/.."
 
 fail() { echo "CHECK FAILED: $*" >&2; exit 1; }
 
-cmake -B build -G Ninja || fail "configure"
-cmake --build build || fail "build"
+cmake -B build || fail "configure"
+cmake --build build -j "$(nproc)" || fail "build"
 
 scripts/check_lint.sh || fail "lint (dbx_lint + self-test)"
 scripts/check_analyze.sh || fail "thread-safety analysis (clang -Wthread-safety)"

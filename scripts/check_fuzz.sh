@@ -15,9 +15,9 @@ SEED=${DBX_FUZZ_SEED:-1}
 
 fail() { echo "FUZZ CHECK FAILED: $*" >&2; exit 1; }
 
-cmake -B build -G Ninja >/dev/null || fail "configure"
-cmake --build build --target lexer_fuzz parser_fuzz server_frame_fuzz \
-  dbxc_fuzz >/dev/null || fail "build"
+cmake -B build >/dev/null || fail "configure"
+cmake --build build -j "$(nproc)" --target lexer_fuzz parser_fuzz \
+  server_frame_fuzz dbxc_fuzz >/dev/null || fail "build"
 
 for harness in lexer parser server_frame dbxc; do
   echo "== ${harness}_fuzz: corpus + $ITERS mutations (seed $SEED)"

@@ -13,8 +13,8 @@ cd "$(dirname "$0")/.."
 
 fail() { echo "LINT CHECK FAILED: $*" >&2; exit 1; }
 
-cmake -B build -G Ninja >/dev/null || fail "configure"
-cmake --build build --target dbx_lint >/dev/null || fail "build dbx_lint"
+cmake -B build >/dev/null || fail "configure"
+cmake --build build -j "$(nproc)" --target dbx_lint >/dev/null || fail "build dbx_lint"
 LINT=build/tools/dbx_lint/dbx_lint
 
 echo "== dbx_lint over the tree"

@@ -318,7 +318,7 @@ Result<DiscretizedTable> ScaledUsedCars::Discretize(
     }
     DBX_ASSIGN_OR_RETURN(
         bins[j],
-        BuildBins(std::move(vals), options.discretizer.max_numeric_bins,
+        BuildBins(vals, options.discretizer.max_numeric_bins,
                   options.discretizer.strategy));
   }
   scans.clear();

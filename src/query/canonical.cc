@@ -1,21 +1,9 @@
 #include "src/query/canonical.h"
 
-#include <cmath>
-
 #include "src/util/string_util.h"
 
 namespace dbx {
 namespace {
-
-// Numeric literal form the lexer reads back to the same double: whole values
-// print without a fraction, others with fixed six digits (idempotent through
-// a parse/print cycle).
-std::string NumberToSql(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    return std::to_string(static_cast<long long>(v));
-  }
-  return FormatDouble(v, 6);
-}
 
 void AppendWhere(std::string* out, const PredicatePtr& where) {
   if (where != nullptr) {
@@ -90,7 +78,7 @@ std::string ToSql(const HighlightStmt& stmt) {
   return "HIGHLIGHT SIMILAR IUNITS IN " + stmt.view_name +
          " WHERE SIMILARITY(" + QuoteSqlString(stmt.pivot_value) + ", " +
          std::to_string(stmt.iunit_rank) + ") > " +
-         NumberToSql(stmt.threshold);
+         FormatShortest(stmt.threshold);
 }
 
 std::string ToSql(const ReorderStmt& stmt) {

@@ -1,23 +1,42 @@
 // Copyright (c) DBExplorer reproduction authors.
 // Columnar storage: dictionary-encoded categorical columns and dense numeric
-// columns. Dictionary codes are what the statistics and clustering layers
-// operate on, which keeps the hot loops integer-only.
+// columns. Dictionary codes — and, for numeric columns, ranks into the
+// column's sorted distinct values — are what the statistics and clustering
+// layers operate on, which keeps the hot loops integer-only.
 
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/relation/value.h"
+#include "src/util/mutex.h"
 
 namespace dbx {
 
-/// Sentinel code for a null categorical cell.
+/// Sentinel code for a null categorical cell (and a NaN cell's rank).
 inline constexpr int32_t kNullCode = -1;
+
+/// A numeric column's dictionary in value order: its distinct values and
+/// each row's rank among them. Discretization counts a fragment's ranks
+/// instead of sorting its values (src/stats/discretizer.h).
+struct NumericDomain {
+  /// Distinct non-NaN values, ascending in IEEE-754 totalOrder: -0.0 and
+  /// +0.0 are two entries, -0.0 first.
+  std::vector<double> values;
+  /// Per row, the index of its value in `values`; kNullCode for NaN.
+  std::vector<int32_t> ranks;
+
+  /// The domain of `nums`: first-appearance ids from a hash on each value's
+  /// bit pattern, one sort of the distinct values, then ids remapped to
+  /// ranks. O(n + d log d) for n rows holding d distinct values.
+  static NumericDomain Build(const std::vector<double>& nums);
+};
 
 /// A single typed column. Categorical cells are stored as int32 codes into a
 /// per-column dictionary; numeric cells as doubles (NaN encodes null).
@@ -113,10 +132,13 @@ class Column {
 
   /// Raw code vector (categorical columns; size() entries).
   const std::vector<int32_t>& codes() const { return codes_; }
-  /// Raw numeric vector (numeric columns; size() entries).
-  const std::vector<double>& numbers() const { return nums_; }
   /// The dictionary, indexed by code (categorical columns).
   const std::vector<std::string>& dict() const { return dict_; }
+
+  /// The numeric domain (empty for a categorical column), built on first
+  /// use and rebuilt when rows were appended since. Concurrent callers share
+  /// one build; appending still needs exclusive access to the column.
+  std::shared_ptr<const NumericDomain> Domain() const;
 
  private:
   AttrType type_;
@@ -124,6 +146,9 @@ class Column {
   std::vector<double> nums_;     // kNumeric payload
   std::vector<std::string> dict_;
   std::unordered_map<std::string, int32_t> dict_index_;
+  mutable Mutex domain_mu_;
+  mutable std::shared_ptr<const NumericDomain> domain_
+      DBX_GUARDED_BY(domain_mu_);
 };
 
 }  // namespace dbx

@@ -73,8 +73,9 @@ class CmpPredicate : public Predicate {
 
   std::string ToString() const override {
     return attr_ + " " + CmpOpName(op_) + " " +
-           (value_.is_string() ? QuoteSqlString(value_.AsString())
-                               : value_.ToDisplay());
+           (value_.is_string()   ? QuoteSqlString(value_.AsString())
+            : value_.is_number() ? FormatShortest(value_.AsNumber())
+                                 : value_.ToDisplay());
   }
 
  private:
@@ -110,8 +111,8 @@ class BetweenPredicate : public Predicate {
   }
 
   std::string ToString() const override {
-    return attr_ + " BETWEEN " + FormatDouble(lo_, 0) + " AND " +
-           FormatDouble(hi_, 0);
+    return attr_ + " BETWEEN " + FormatShortest(lo_) + " AND " +
+           FormatShortest(hi_);
   }
 
  private:

@@ -1,6 +1,6 @@
 #include "src/stats/discretizer.h"
 
-#include <cmath>
+#include <memory>
 #include <utility>
 
 namespace dbx {
@@ -8,7 +8,7 @@ namespace dbx {
 Result<DiscreteAttr> DiscretizeColumn(const AttributeDef& def,
                                       const std::vector<int32_t>& codes,
                                       const std::vector<std::string>& dict,
-                                      const std::vector<double>& numbers,
+                                      const NumericDomain& numbers,
                                       const RowSet& rows,
                                       const DiscretizerOptions& options) {
   DiscreteAttr da;
@@ -17,38 +17,47 @@ Result<DiscreteAttr> DiscretizeColumn(const AttributeDef& def,
   da.queriable = def.queriable;
   da.codes.resize(rows.size(), -1);
 
-  if (def.type == AttrType::kCategorical) {
-    // Re-compact dictionary codes to the values present in `rows` so
-    // downstream contingency tables stay dense. Strings are touched once per
-    // distinct value, never per row.
-    std::vector<int32_t> remap(dict.size(), -1);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      int32_t code = codes[rows[i]];
-      if (code == kNullCode) continue;
-      if (remap[code] == -1) {
-        remap[code] = static_cast<int32_t>(da.labels.size());
-        da.labels.push_back(dict[code]);
-      }
-      da.codes[i] = remap[code];
-    }
-    return da;
-  }
-  std::vector<double> vals;
-  vals.reserve(rows.size());
+  // Every cell is a code into the column's domain: a dictionary code, or a
+  // numeric value's rank among the column's distinct values.
+  const bool categorical = def.type == AttrType::kCategorical;
+  const std::vector<int32_t>& cell = categorical ? codes : numbers.ranks;
+  const size_t domain_size = categorical ? dict.size() : numbers.values.size();
+
+  // 1. Count the fragment's codes, noting the order of first appearance.
+  std::vector<uint32_t> counts(domain_size, 0);
+  std::vector<int32_t> appearance;
   for (uint32_t r : rows) {
-    if (!std::isnan(numbers[r])) vals.push_back(numbers[r]);
+    const int32_t code = cell[r];
+    if (code != kNullCode && counts[code]++ == 0) appearance.push_back(code);
   }
-  if (vals.empty()) return da;
-  DBX_ASSIGN_OR_RETURN(
-      da.bins,
-      BuildBins(std::move(vals), options.max_numeric_bins, options.strategy));
-  da.labels.reserve(da.bins.num_bins());
-  for (size_t b = 0; b < da.bins.num_bins(); ++b) {
-    da.labels.push_back(da.bins.LabelOf(b));
+  if (appearance.empty()) return da;
+
+  // 2. Derive code -> fragment code. Categorical values are re-compacted in
+  //    first-appearance order, so downstream contingency tables stay dense;
+  //    numeric values map to their bin, one BinOf per present value.
+  std::vector<int32_t> fragment_code(domain_size, -1);
+  if (categorical) {
+    for (int32_t code : appearance) {
+      fragment_code[code] = static_cast<int32_t>(da.labels.size());
+      da.labels.push_back(dict[code]);
+    }
+  } else {
+    DBX_ASSIGN_OR_RETURN(da.bins,
+                         DeriveBins(numbers.values, counts,
+                                    options.max_numeric_bins, options.strategy));
+    da.labels.reserve(da.bins.num_bins());
+    for (size_t b = 0; b < da.bins.num_bins(); ++b) {
+      da.labels.push_back(da.bins.LabelOf(b));
+    }
+    for (int32_t rank : appearance) {
+      fragment_code[rank] = da.bins.BinOf(numbers.values[rank]);
+    }
   }
+
+  // 3. Map each row through the table.
   for (size_t i = 0; i < rows.size(); ++i) {
-    const double x = numbers[rows[i]];
-    if (!std::isnan(x)) da.codes[i] = da.bins.BinOf(x);
+    const int32_t code = cell[rows[i]];
+    if (code != kNullCode) da.codes[i] = fragment_code[code];
   }
   return da;
 }
@@ -68,10 +77,11 @@ Result<DiscretizedTable> DiscretizedTable::Build(
   out.attrs_.reserve(t.num_cols());
   for (size_t a = 0; a < t.num_cols(); ++a) {
     const Column& col = t.col(a);
+    const std::shared_ptr<const NumericDomain> domain = col.Domain();
     DBX_ASSIGN_OR_RETURN(
         DiscreteAttr da,
-        DiscretizeColumn(t.schema().attr(a), col.codes(), col.dict(),
-                         col.numbers(), slice.rows, options));
+        DiscretizeColumn(t.schema().attr(a), col.codes(), col.dict(), *domain,
+                         slice.rows, options));
     out.attrs_.push_back(std::move(da));
   }
   return out;

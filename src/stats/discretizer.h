@@ -50,11 +50,13 @@ struct DiscreteAttr {
 /// also runs on decoded pages. A categorical column passes its per-row
 /// dictionary `codes` (kNullCode = null) and the `dict` they index — labels
 /// are the values present in `rows`, in first-appearance order; a numeric
-/// column passes `numbers` (NaN = null), binned per `options`. The payload
-/// of the other type is ignored. Null cells get code -1.
+/// column passes its `numbers` domain (Column::Domain), binned per
+/// `options`. The payload of the other type is ignored. Either way the
+/// fragment's codes are counted, a code -> fragment-code table is derived
+/// from the counts, and each row is mapped through it. Null cells get -1.
 [[nodiscard]] Result<DiscreteAttr> DiscretizeColumn(
     const AttributeDef& def, const std::vector<int32_t>& codes,
-    const std::vector<std::string>& dict, const std::vector<double>& numbers,
+    const std::vector<std::string>& dict, const NumericDomain& numbers,
     const RowSet& rows, const DiscretizerOptions& options);
 
 /// A table slice with every attribute reduced to a small discrete domain.

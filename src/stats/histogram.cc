@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "src/relation/column.h"
 #include "src/util/string_util.h"
 
 namespace dbx {
@@ -65,74 +66,55 @@ Bins EquiWidth(double lo, double hi, size_t max_bins) {
   return b;
 }
 
-// Puts at each index in `ranks` (ascending, distinct, all in [lo, hi)) the
-// value a full sort of v[lo, hi) would put there: selects the middle rank,
-// then recurses into each side.
-void SelectRanks(std::vector<double>* v, size_t lo, size_t hi,
-                 const size_t* ranks, size_t count) {
-  if (count == 0) return;
-  size_t mid = count / 2;
-  size_t r = ranks[mid];
-  std::nth_element(v->begin() + static_cast<std::ptrdiff_t>(lo),
-                   v->begin() + static_cast<std::ptrdiff_t>(r),
-                   v->begin() + static_cast<std::ptrdiff_t>(hi));
-  SelectRanks(v, lo, r, ranks, mid);
-  SelectRanks(v, r + 1, hi, ranks + mid + 1, count - mid - 1);
-}
-
-// Edges at the minimum, the values of rank i*n/max_bins, and the maximum.
-Bins EquiDepth(std::vector<double>* values, double lo, double hi,
+// Edges at the lowest present value, the values of rank i*n/max_bins in the
+// sorted multiset, and the highest present value. The value of rank t is the
+// first one whose running count exceeds t.
+Bins EquiDepth(const std::vector<double>& values,
+               const std::vector<uint32_t>& counts, size_t first, double hi,
                size_t max_bins) {
-  size_t n = values->size();
-  auto rank = [&](size_t i) { return std::min(i * n / max_bins, n - 1); };
-  std::vector<size_t> ranks;
-  for (size_t i = 1; i < max_bins; ++i) ranks.push_back(rank(i));
-  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
-  SelectRanks(values, 0, n, ranks.data(), ranks.size());
+  size_t n = 0;
+  for (uint32_t c : counts) n += c;
   Bins b;
-  b.edges.push_back(lo);
+  b.edges.push_back(values[first]);
+  size_t r = first;
+  size_t cum = counts[first];  // rows at ranks <= r
   for (size_t i = 1; i < max_bins; ++i) {
-    double e = (*values)[rank(i)];
-    if (e > b.edges.back()) b.edges.push_back(e);
+    const size_t t = i * n / max_bins;
+    while (cum <= t) cum += counts[++r];
+    if (values[r] > b.edges.back()) b.edges.push_back(values[r]);
   }
-  if (hi > b.edges.back()) {
-    b.edges.push_back(hi);
-  } else {
-    // All values equal past some point; widen the last edge slightly so the
-    // bin is non-degenerate.
-    b.edges.push_back(b.edges.back());
-  }
-  // Collapse a fully degenerate result into one bin.
-  if (b.edges.size() < 2 || b.edges.front() == b.edges.back()) {
-    return SingleBin(lo, hi);
-  }
+  // When the highest value is already an edge, the last bin has zero width.
+  b.edges.push_back(hi > b.edges.back() ? hi : b.edges.back());
   return b;
 }
 
 // V-optimal histogram via dynamic programming on distinct values, minimizing
 // total within-bucket SSE (Jagadish et al., VLDB'98 flavor).
-Bins VOptimal(const std::vector<double>& sorted, size_t max_bins) {
-  // Distinct values with multiplicities.
+Bins VOptimal(const std::vector<double>& values,
+              const std::vector<uint32_t>& counts, size_t max_bins) {
+  // Present values with multiplicities; -0.0 and +0.0 compare equal, so they
+  // are one value here.
   std::vector<double> vals;
-  std::vector<double> counts;
-  for (double x : sorted) {
-    if (vals.empty() || x != vals.back()) {
-      vals.push_back(x);
-      counts.push_back(1);
+  std::vector<double> weights;
+  for (size_t r = 0; r < values.size(); ++r) {
+    if (counts[r] == 0) continue;
+    if (vals.empty() || values[r] != vals.back()) {
+      vals.push_back(values[r]);
+      weights.push_back(counts[r]);
     } else {
-      counts.back() += 1;
+      weights.back() += counts[r];
     }
   }
+  // The caller ruled out one value and max_bins == 1, so b >= 2.
   size_t n = vals.size();
   size_t b = std::min(max_bins, n);
-  if (b <= 1 || n <= 1) return SingleBin(sorted.front(), sorted.back());
 
   // Prefix sums of weight, weighted value, weighted value^2.
   std::vector<double> w(n + 1, 0), s1(n + 1, 0), s2(n + 1, 0);
   for (size_t i = 0; i < n; ++i) {
-    w[i + 1] = w[i] + counts[i];
-    s1[i + 1] = s1[i] + counts[i] * vals[i];
-    s2[i + 1] = s2[i] + counts[i] * vals[i] * vals[i];
+    w[i + 1] = w[i] + weights[i];
+    s1[i + 1] = s1[i] + weights[i] * vals[i];
+    s2[i + 1] = s2[i] + weights[i] * vals[i] * vals[i];
   }
   auto sse = [&](size_t i, size_t j) {  // values [i, j), i < j
     double cw = w[j] - w[i];
@@ -185,37 +167,41 @@ Bins VOptimal(const std::vector<double>& sorted, size_t max_bins) {
   // Deduplicate any equal edges created by halfway collisions.
   bins.edges.erase(std::unique(bins.edges.begin(), bins.edges.end()),
                    bins.edges.end());
-  if (bins.edges.size() < 2) return SingleBin(sorted.front(), sorted.back());
   return bins;
 }
 
 }  // namespace
 
-Result<Bins> BuildBins(std::vector<double>&& values, size_t max_bins,
-                       BinStrategy strategy) {
+Result<Bins> DeriveBins(const std::vector<double>& values,
+                        const std::vector<uint32_t>& counts, size_t max_bins,
+                        BinStrategy strategy) {
   if (max_bins == 0) return Status::InvalidArgument("max_bins must be >= 1");
-  values.erase(std::remove_if(values.begin(), values.end(),
-                              [](double x) { return std::isnan(x); }),
-               values.end());
-  if (values.empty()) {
+  size_t first = 0;
+  while (first < counts.size() && counts[first] == 0) ++first;
+  if (first == counts.size()) {
     return Status::InvalidArgument("no non-null values to bin");
   }
-  auto [min_it, max_it] = std::minmax_element(values.begin(), values.end());
-  const double lo = *min_it, hi = *max_it;
+  size_t last = counts.size() - 1;
+  while (counts[last] == 0) --last;
+  const double lo = values[first], hi = values[last];
   if (lo == hi || max_bins == 1) return SingleBin(lo, hi);
   switch (strategy) {
     case BinStrategy::kEquiWidth: return EquiWidth(lo, hi, max_bins);
-    case BinStrategy::kEquiDepth: return EquiDepth(&values, lo, hi, max_bins);
-    case BinStrategy::kVOptimal:
-      std::sort(values.begin(), values.end());
-      return VOptimal(values, max_bins);
+    case BinStrategy::kEquiDepth:
+      return EquiDepth(values, counts, first, hi, max_bins);
+    case BinStrategy::kVOptimal: return VOptimal(values, counts, max_bins);
   }
   return Status::InvalidArgument("unknown bin strategy");
 }
 
 Result<Bins> BuildBins(const std::vector<double>& values, size_t max_bins,
                        BinStrategy strategy) {
-  return BuildBins(std::vector<double>(values), max_bins, strategy);
+  const NumericDomain domain = NumericDomain::Build(values);
+  std::vector<uint32_t> counts(domain.values.size(), 0);
+  for (int32_t rank : domain.ranks) {
+    if (rank != kNullCode) ++counts[rank];
+  }
+  return DeriveBins(domain.values, counts, max_bins, strategy);
 }
 
 }  // namespace dbx

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,19 +38,25 @@ struct Bins {
   std::string LabelOf(size_t i) const;
 };
 
-/// Builds bins over `values` (NaNs ignored). `max_bins` >= 1. Degenerate
-/// inputs (empty, or all-equal values) yield a single bin.
-/// Equi-width reads only the minimum and maximum, and equi-depth selects its
-/// max_bins - 1 quantiles in O(n log max_bins) without sorting. V-optimal
-/// sorts, then runs an O(n'^2 * b) DP over the distinct values n' — use
-/// equi-depth when the domain is large and latency matters.
+/// The one binning step. The multiset to bin is given as its distinct
+/// `values` (ascending in IEEE-754 totalOrder, no NaN: a NumericDomain's
+/// values) and each value's count (0 = absent). The bins are the ones read
+/// off the multiset sorted in totalOrder, where -0.0 precedes +0.0.
+/// `max_bins` >= 1. Values that all compare equal, or max_bins == 1, yield a
+/// single bin; all counts zero is InvalidArgument.
+/// Equi-width reads only the lowest and highest present values, equi-depth
+/// walks the running counts once, and V-optimal runs an O(n'^2 * b) DP over
+/// the n' present values — use equi-depth when the domain is large and
+/// latency matters.
+[[nodiscard]]
+Result<Bins> DeriveBins(const std::vector<double>& values,
+                        const std::vector<uint32_t>& counts, size_t max_bins,
+                        BinStrategy strategy);
+
+/// DeriveBins over `values` (NaNs ignored), counted through their own
+/// NumericDomain.
 [[nodiscard]]
 Result<Bins> BuildBins(const std::vector<double>& values, size_t max_bins,
-                       BinStrategy strategy);
-
-/// The same, reordering `values` in place instead of copying it first.
-[[nodiscard]]
-Result<Bins> BuildBins(std::vector<double>&& values, size_t max_bins,
                        BinStrategy strategy);
 
 /// Formats a numeric bound compactly: 20000 -> "20K", 1500000 -> "1.5M",

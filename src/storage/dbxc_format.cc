@@ -509,16 +509,18 @@ Result<DiscretizedTable> DbxcTableFile::Discretize(
     // packed pages; one column is decoded at a time.
     std::vector<int32_t> codes;
     std::vector<std::string> dict;
-    std::vector<double> numbers;
+    NumericDomain domain;
     if (header_.cols[c].type == AttrType::kCategorical) {
       DBX_RETURN_IF_ERROR(DecodeCodes(c, &codes));
       DBX_ASSIGN_OR_RETURN(dict, DictStrings(c));
     } else {
+      std::vector<double> numbers;
       DBX_RETURN_IF_ERROR(CopyNumbers(c, &numbers));
+      domain = NumericDomain::Build(numbers);
     }
     DBX_ASSIGN_OR_RETURN(DiscreteAttr da,
                          DiscretizeColumn(schema_.attr(c), codes, dict,
-                                          numbers, all, options));
+                                          domain, all, options));
     attrs.push_back(std::move(da));
   }
   return DiscretizedTable::FromParts(std::move(attrs), std::move(all));

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -93,6 +94,15 @@ std::string FormatDouble(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
   return buf;
+}
+
+std::string FormatShortest(double value) {
+  if (value == 0) value = 0;  // -0.0 and +0.0 select the same rows
+  // Every double fits: the longest, the smallest subnormal, needs 326 chars.
+  char buf[512];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::fixed);
+  return std::string(buf, r.ptr);
 }
 
 std::string QuoteSqlString(std::string_view s) {

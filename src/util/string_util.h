@@ -39,6 +39,12 @@ bool ParseInt64(std::string_view s, int64_t* out);
 /// Formats `value` with `digits` places after the decimal point.
 std::string FormatDouble(double value, int digits);
 
+/// The shortest fixed-notation decimal that reads back (ParseDouble, the
+/// lexer) as exactly `value`: 20.4 -> "20.4", 30 -> "30", 1e-7 ->
+/// "0.0000001"; -0.0 prints as "0". Unparsers print numeric literals with
+/// it, so two distinct literals never share a view-cache key.
+std::string FormatShortest(double value);
+
 /// Renders `s` as a dialect SQL string literal: wraps in single quotes and
 /// doubles embedded quotes (the lexer's '' escape), so any value — including
 /// ones containing ' — survives a print/parse round trip. Every unparser

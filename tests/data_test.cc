@@ -5,7 +5,9 @@
 
 #include <cmath>
 #include <map>
+#include <optional>
 #include <set>
+#include <thread>
 
 #include "src/data/dataset.h"
 #include "src/data/hotels.h"
@@ -467,7 +469,7 @@ TEST(ScaledUsedCarsTest, SampledBinsShardInvariant) {
     for (size_t i = 0; i < table->num_rows(); i += stride) {
       sample.push_back(table->col(a).NumberAt(i));
     }
-    auto want = BuildBins(std::move(sample), opts.discretizer.max_numeric_bins,
+    auto want = BuildBins(sample, opts.discretizer.max_numeric_bins,
                           opts.discretizer.strategy);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     EXPECT_EQ(attr.bins.edges, want->edges) << "attr " << attr.name;
@@ -484,6 +486,78 @@ TEST(ScaledUsedCarsTest, SampledBinsShardInvariant) {
           << "attr " << base->attr(a).name << " threads=" << threads;
     }
   }
+}
+
+// --- Numeric domains: built lazily, shared through the table ---------------------
+
+void ExpectSameDiscretization(const DiscretizedTable& got,
+                              const DiscretizedTable& want) {
+  ASSERT_EQ(got.num_attrs(), want.num_attrs());
+  EXPECT_EQ(got.rows(), want.rows());
+  for (size_t a = 0; a < want.num_attrs(); ++a) {
+    EXPECT_EQ(got.attr(a).labels, want.attr(a).labels) << want.attr(a).name;
+    EXPECT_EQ(got.attr(a).bins.edges, want.attr(a).bins.edges)
+        << want.attr(a).name;
+    EXPECT_EQ(got.attr(a).codes, want.attr(a).codes) << want.attr(a).name;
+  }
+}
+
+TEST(NumericDomainLifetimeTest, ConcurrentFirstUseMatchesSerialBuilds) {
+  // Every thread discretizes its own slice of one fresh table at once, so
+  // all of them race to build each numeric column's domain.
+  constexpr size_t kThreads = 6;
+  const Table shared = GenerateUsedCars(3000, 5);
+  std::vector<RowSet> slices(kThreads);
+  for (size_t s = 0; s < kThreads; ++s) {
+    for (uint32_t r = static_cast<uint32_t>(s); r < shared.num_rows();
+         r += static_cast<uint32_t>(s + 1)) {
+      slices[s].push_back(r);
+    }
+  }
+  std::vector<std::optional<Result<DiscretizedTable>>> got(kThreads);
+  {
+    std::vector<std::thread> threads;
+    for (size_t s = 0; s < kThreads; ++s) {
+      threads.emplace_back([&, s] {
+        got[s] = DiscretizedTable::Build(TableSlice{&shared, slices[s]},
+                                         DiscretizerOptions{});
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  for (size_t s = 0; s < kThreads; ++s) {
+    const Table fresh = GenerateUsedCars(3000, 5);
+    auto want = DiscretizedTable::Build(TableSlice{&fresh, slices[s]},
+                                        DiscretizerOptions{});
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got[s]->ok()) << got[s]->status().ToString();
+    ExpectSameDiscretization(**got[s], *want);
+  }
+}
+
+TEST(NumericDomainLifetimeTest, AppendAfterUseRebuildsTheDomain) {
+  const Table all = GenerateUsedCars(2000, 9);
+  Table grown(all.schema());
+  std::vector<Value> row(all.num_cols());
+  auto append = [&](size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) {
+      for (size_t c = 0; c < all.num_cols(); ++c) row[c] = all.At(r, c);
+      ASSERT_TRUE(grown.AppendRow(row).ok());
+    }
+  };
+  append(0, 1500);
+  ASSERT_TRUE(
+      DiscretizedTable::Build(TableSlice::All(grown), DiscretizerOptions{})
+          .ok());
+  // The domain built above covers 1500 rows; it must grow to cover these.
+  append(1500, all.num_rows());
+  auto got =
+      DiscretizedTable::Build(TableSlice::All(grown), DiscretizerOptions{});
+  auto want =
+      DiscretizedTable::Build(TableSlice::All(all), DiscretizerOptions{});
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ExpectSameDiscretization(*got, *want);
 }
 
 // --- Dataset registry ------------------------------------------------------------

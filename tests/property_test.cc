@@ -4,12 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iomanip>
+#include <set>
+
 #include "src/core/cad_view_builder.h"
 #include "src/core/iunit_similarity.h"
 #include "src/data/used_cars.h"
 #include "src/relation/csv.h"
 #include "src/relation/materialize.h"
 #include "src/query/canonical.h"
+#include "src/query/lexer.h"
 #include "src/query/parser.h"
 #include "src/relation/predicate.h"
 #include "src/util/rng.h"
@@ -173,16 +178,27 @@ TEST(MaterializeTest, Errors) {
 /// Random WHERE predicate from the grammar the parser can express. And/Or
 /// always get >= 2 children: the parser never produces 1-child conjunctions,
 /// and their parenthesized unparse would not round-trip.
-PredicatePtr RandomPredicate(Rng& rng, int depth) {
+/// Every numeric literal drawn is appended to `literals`.
+PredicatePtr RandomPredicate(Rng& rng, int depth,
+                             std::vector<double>* literals) {
   static const char* kAttrs[] = {"Make", "Model", "Price", "Year", "Mileage",
                                  "Body_Type"};
   static const char* kStrings[] = {"Jeep",  "it's",     "two  words", "",
                                    "O'Br", "trailing'", "'lead",      "42"};
   auto attr = [&] { return std::string(kAttrs[rng.NextBounded(6)]); };
   auto str = [&] { return std::string(kStrings[rng.NextBounded(8)]); };
-  // Nonnegative quarter-steps: ToDisplay prints them exactly ("7" / "7.250")
-  // and the lexer reads both forms back to the same double.
-  auto num = [&] { return static_cast<double>(rng.NextInt(0, 40)) * 0.25; };
+  // Nonnegative: whole numbers, four-decimal steps, or full-precision
+  // doubles. The lexer reads no sign.
+  auto num = [&] {
+    double x = 0;
+    switch (rng.NextBounded(3)) {
+      case 0: x = static_cast<double>(rng.NextInt(0, 50)); break;
+      case 1: x = static_cast<double>(rng.NextInt(0, 500000)) / 1e4; break;
+      default: x = rng.NextUniform(0.0, 100.0);
+    }
+    literals->push_back(x);
+    return x;
+  };
 
   int pick = static_cast<int>(rng.NextBounded(depth > 0 ? 7 : 4));
   switch (pick) {
@@ -190,9 +206,9 @@ PredicatePtr RandomPredicate(Rng& rng, int depth) {
       return MakeCmp(attr(), static_cast<CmpOp>(rng.NextBounded(6)),
                      rng.NextBool() ? Value(str()) : Value(num()));
     case 1: {
-      double lo = static_cast<double>(rng.NextInt(0, 50));
-      return MakeBetween(attr(), lo,
-                         lo + static_cast<double>(rng.NextInt(0, 50)));
+      double a = num();
+      double b = num();
+      return MakeBetween(attr(), std::min(a, b), std::max(a, b));
     }
     case 2: {
       std::vector<std::string> values;
@@ -202,11 +218,11 @@ PredicatePtr RandomPredicate(Rng& rng, int depth) {
       return MakeIn(attr(), std::move(values));
     }
     case 3:
-      return MakeNot(RandomPredicate(rng, depth - 1));
+      return MakeNot(RandomPredicate(rng, depth - 1, literals));
     default: {  // AND / OR with 2-3 children
       std::vector<PredicatePtr> children;
       for (int i = static_cast<int>(rng.NextInt(2, 3)); i > 0; --i) {
-        children.push_back(RandomPredicate(rng, depth - 1));
+        children.push_back(RandomPredicate(rng, depth - 1, literals));
       }
       return pick <= 5 ? MakeAnd(std::move(children))
                        : MakeOr(std::move(children));
@@ -214,11 +230,28 @@ PredicatePtr RandomPredicate(Rng& rng, int depth) {
   }
 }
 
-void ExpectFixedPoint(const Statement& stmt) {
+/// The fixed point alone holds even for an unparser that rounds (20.4 ->
+/// "20" -> 20 -> "20"), so every numeric literal of the AST must also read
+/// back from the text as the same double.
+void ExpectFixedPoint(const Statement& stmt,
+                      const std::vector<double>& literals) {
   std::string sql1 = StatementToSql(stmt);
   auto reparsed = ParseStatement(sql1);
   ASSERT_TRUE(reparsed.ok()) << sql1 << "\n" << reparsed.status().ToString();
   EXPECT_EQ(StatementToSql(*reparsed), sql1);
+
+  auto tokens = Lex(sql1);
+  ASSERT_TRUE(tokens.ok()) << sql1;
+  std::multiset<double> read_back;
+  for (const Token& t : *tokens) {
+    if (t.type == TokenType::kNumber) read_back.insert(t.number);
+  }
+  for (double x : literals) {
+    auto it = read_back.find(x);
+    ASSERT_NE(it, read_back.end())
+        << std::setprecision(17) << "literal " << x << " lost in: " << sql1;
+    read_back.erase(it);
+  }
 }
 
 class CanonicalFixedPointTest : public ::testing::TestWithParam<uint64_t> {};
@@ -235,10 +268,11 @@ TEST_P(CanonicalFixedPointTest, RandomSelects) {
         s.columns.push_back(rng.NextBool() ? "Make" : "Price");
       }
     }
-    if (rng.NextBool(0.8)) s.where = RandomPredicate(rng, 3);
+    std::vector<double> literals;
+    if (rng.NextBool(0.8)) s.where = RandomPredicate(rng, 3, &literals);
     if (rng.NextBool()) s.order_by.emplace_back("Price", rng.NextBool());
     if (rng.NextBool()) s.limit = rng.NextBounded(100);
-    ExpectFixedPoint(Statement{std::move(s)});
+    ExpectFixedPoint(Statement{std::move(s)}, literals);
   }
 }
 
@@ -252,11 +286,12 @@ TEST_P(CanonicalFixedPointTest, RandomCadViews) {
     if (rng.NextBool()) {
       s.compare_attrs = {"Price", "Year"};
     }
-    if (rng.NextBool(0.8)) s.where = RandomPredicate(rng, 3);
+    std::vector<double> literals;
+    if (rng.NextBool(0.8)) s.where = RandomPredicate(rng, 3, &literals);
     if (rng.NextBool()) s.limit_columns = 1 + rng.NextBounded(8);
     if (rng.NextBool()) s.iunits = 1 + rng.NextBounded(5);
     if (rng.NextBool()) s.order_by.emplace_back("Year", rng.NextBool());
-    ExpectFixedPoint(Statement{std::move(s)});
+    ExpectFixedPoint(Statement{std::move(s)}, literals);
   }
 }
 
@@ -270,7 +305,7 @@ TEST(CanonicalFixedPointTest, QuoteEscapeRegression) {
   ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
   std::string sql = StatementToSql(*stmt);
   EXPECT_NE(sql.find("'it''s quoted'"), std::string::npos) << sql;
-  ExpectFixedPoint(*stmt);
+  ExpectFixedPoint(*stmt, {});
 }
 
 // --- CAD View invariants over the option grid ----------------------------------------

@@ -925,6 +925,33 @@ TEST(EngineSharedCacheTest, SharedSnapshotRegistrationsShareEntries) {
   EXPECT_EQ(r1->rendered, r2->rendered);
 }
 
+TEST(EngineSharedCacheTest, FractionalBoundsKeyDistinctEntries) {
+  // Regression: BETWEEN printed its bounds as whole numbers, so these two
+  // statements shared one cache key and the second was served the first's
+  // view. Each cached result must equal an uncached engine's.
+  auto cache = std::make_shared<ViewCache>();
+  Table t = GenerateUsedCars(4000, 7);
+  Engine cached;
+  cached.SetViewCache(cache);
+  cached.RegisterTable("T", &t);
+  for (const char* where : {"FuelEconomy BETWEEN 20.4 AND 30",
+                            "FuelEconomy BETWEEN 20 AND 30"}) {
+    const std::string stmt =
+        std::string("CREATE CADVIEW v AS SET pivot = Make SELECT Price FROM T "
+                    "WHERE ") +
+        where + " LIMIT COLUMNS 2 IUNITS 2";
+    Engine uncached;
+    uncached.RegisterTable("T", &t);
+    auto want = uncached.ExecuteSql(stmt);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    auto got = cached.ExecuteSql(stmt);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->rendered, want->rendered) << where;
+  }
+  EXPECT_EQ(cache->stats().hits, 0u);
+  EXPECT_EQ(cache->stats().inserts, 2u);
+}
+
 TEST(EngineSharedCacheTest, ReRegistrationInvalidatesItsOwnSnapshotOnly) {
   auto cache = std::make_shared<ViewCache>();
   Table t = GenerateUsedCars(400, 1);

@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 
+#include "src/stats/discretizer.h"
 #include "src/stats/histogram.h"
 #include "src/util/rng.h"
 
@@ -131,8 +133,14 @@ TEST(BuildBinsTest, ErrorsAndDegenerateInputs) {
   EXPECT_EQ(constant->BinOf(5.0), 0);
 }
 
+// IEEE-754 totalOrder on non-NaN doubles: -0.0 sorts before +0.0.
+bool TotalOrderLess(double a, double b) {
+  return a < b || (a == b && std::signbit(a) && !std::signbit(b));
+}
+
 // Sort-based reference for the equi-width and equi-depth edges: sort every
-// non-NaN value, then read the minimum, maximum and ranks i*n/max_bins.
+// non-NaN value in totalOrder, then read the minimum, maximum and ranks
+// i*n/max_bins.
 std::vector<double> SortedReferenceEdges(const std::vector<double>& values,
                                          size_t max_bins,
                                          BinStrategy strategy) {
@@ -140,7 +148,7 @@ std::vector<double> SortedReferenceEdges(const std::vector<double>& values,
   for (double x : values) {
     if (!std::isnan(x)) v.push_back(x);
   }
-  std::sort(v.begin(), v.end());
+  std::sort(v.begin(), v.end(), TotalOrderLess);
   if (v.front() == v.back() || max_bins == 1) return {v.front(), v.back()};
   std::vector<double> edges;
   if (strategy == BinStrategy::kEquiWidth) {
@@ -169,11 +177,9 @@ uint64_t Bits(double x) {
 }
 
 TEST(BuildBinsTest, SelectedEdgesMatchSortedReferenceBitForBit) {
-  // Signed zeros are left out: std::sort leaves the order of -0.0 and +0.0
-  // unspecified, so neither path pins which one becomes an edge.
   Rng rng(23);
   for (size_t n : {1u, 2u, 3u, 5u, 7u, 8u, 9u, 16u, 100u, 1000u}) {
-    for (int shape = 0; shape < 4; ++shape) {
+    for (int shape = 0; shape < 5; ++shape) {
       for (int trial = 0; trial < 5; ++trial) {
         std::vector<double> v;
         for (size_t i = 0; i < n; ++i) {
@@ -183,35 +189,221 @@ TEST(BuildBinsTest, SelectedEdgesMatchSortedReferenceBitForBit) {
               v.push_back(static_cast<double>(rng.NextBounded(5)) - 3.5);
               break;
             case 2: v.push_back(-42.25); break;  // all values equal
+            case 3:  // both signed zeros among a few small values
+              v.push_back(rng.NextBool() ? (rng.NextBool() ? -0.0 : 0.0)
+                                         : static_cast<double>(
+                                               rng.NextInt(-2, 2)));
+              break;
             default:  // NaNs among skewed values
               v.push_back(rng.NextBounded(4) == 0
                               ? std::nan("")
                               : std::exp(rng.NextUniform(-5.0, 5.0)));
           }
         }
-        if (shape == 3) v.push_back(0.5);  // at least one non-NaN value
+        if (shape == 4) v.push_back(0.5);  // at least one non-NaN value
         for (BinStrategy strategy :
              {BinStrategy::kEquiWidth, BinStrategy::kEquiDepth}) {
           for (size_t max_bins : {1u, 2u, 3u, 5u, 8u, 16u}) {
             std::vector<double> want =
                 SortedReferenceEdges(v, max_bins, strategy);
-            auto by_ref = BuildBins(v, max_bins, strategy);
-            auto by_move = BuildBins(std::vector<double>(v), max_bins, strategy);
-            ASSERT_TRUE(by_ref.ok());
-            ASSERT_TRUE(by_move.ok());
-            for (const Bins* got : {&*by_ref, &*by_move}) {
-              ASSERT_EQ(got->edges.size(), want.size())
+            auto got = BuildBins(v, max_bins, strategy);
+            ASSERT_TRUE(got.ok());
+            ASSERT_EQ(got->edges.size(), want.size())
+                << BinStrategyName(strategy) << " n=" << n
+                << " shape=" << shape << " max_bins=" << max_bins;
+            for (size_t e = 0; e < want.size(); ++e) {
+              EXPECT_EQ(Bits(got->edges[e]), Bits(want[e]))
                   << BinStrategyName(strategy) << " n=" << n
-                  << " shape=" << shape << " max_bins=" << max_bins;
-              for (size_t e = 0; e < want.size(); ++e) {
-                EXPECT_EQ(Bits(got->edges[e]), Bits(want[e]))
-                    << BinStrategyName(strategy) << " n=" << n
-                    << " shape=" << shape << " max_bins=" << max_bins
-                    << " edge " << e;
-              }
+                  << " shape=" << shape << " max_bins=" << max_bins
+                  << " edge " << e;
             }
           }
         }
+      }
+    }
+  }
+}
+
+TEST(NumericDomainTest, SortedDistinctValuesAndRanks) {
+  const double nan = std::nan("");
+  NumericDomain d = NumericDomain::Build({3.5, 0.0, nan, -1.0, -0.0, 3.5, 0.0});
+  ASSERT_EQ(d.values.size(), 4u);
+  EXPECT_EQ(Bits(d.values[0]), Bits(-1.0));
+  EXPECT_EQ(Bits(d.values[1]), Bits(-0.0));  // -0.0 precedes +0.0
+  EXPECT_EQ(Bits(d.values[2]), Bits(0.0));
+  EXPECT_EQ(Bits(d.values[3]), Bits(3.5));
+  EXPECT_EQ(d.ranks, (std::vector<int32_t>{3, 2, kNullCode, 0, 1, 3, 2}));
+  EXPECT_TRUE(NumericDomain::Build({}).values.empty());
+}
+
+// --- DiscretizeColumn against the sort-based reference ---------------------
+
+// What DiscretizeColumn must produce for a numeric column over `rows`:
+// today's algorithm, independent of the domain and the counts. Equi-width
+// and equi-depth edges come from SortedReferenceEdges over the fragment;
+// V-optimal's from BuildBins over the fragment. Every row is binned by
+// BinOf.
+struct ReferenceColumn {
+  std::vector<double> edges;
+  std::vector<std::string> labels;
+  std::vector<int32_t> codes;
+};
+
+ReferenceColumn ReferenceDiscretize(const std::vector<double>& column,
+                                    const RowSet& rows, size_t max_bins,
+                                    BinStrategy strategy) {
+  std::vector<double> fragment;
+  for (uint32_t r : rows) fragment.push_back(column[r]);
+  ReferenceColumn ref;
+  if (std::all_of(fragment.begin(), fragment.end(),
+                  [](double x) { return std::isnan(x); })) {
+    ref.codes.assign(rows.size(), -1);
+    return ref;
+  }
+  if (strategy == BinStrategy::kVOptimal) {
+    ref.edges = BuildBins(fragment, max_bins, strategy)->edges;
+  } else {
+    ref.edges = SortedReferenceEdges(fragment, max_bins, strategy);
+  }
+  Bins bins{ref.edges};
+  for (size_t b = 0; b < bins.num_bins(); ++b) {
+    ref.labels.push_back(bins.LabelOf(b));
+  }
+  for (double x : fragment) ref.codes.push_back(bins.BinOf(x));
+  return ref;
+}
+
+// Random column of one of several shapes the oracle must get right.
+std::vector<double> RandomColumn(Rng& rng, size_t n, int shape) {
+  std::vector<double> v(n);
+  for (double& x : v) {
+    switch (shape) {
+      case 0:  // heavy duplicates, both signed zeros, some NaNs
+        switch (rng.NextBounded(8)) {
+          case 0: x = std::nan(""); break;
+          case 1: x = -0.0; break;
+          case 2: x = 0.0; break;
+          default: x = static_cast<double>(rng.NextInt(-4, 4)) * 1.5;
+        }
+        break;
+      case 1: x = rng.NextUniform(-1e4, 1e4); break;  // mostly distinct
+      case 2: x = 7.25; break;                         // all values equal
+      case 3:  // a few skewed values, rounded into duplicates
+        x = std::round(std::exp(rng.NextUniform(0.0, 6.0)));
+        break;
+      default: x = rng.NextBool() ? -0.0 : 0.0;  // only signed zeros
+    }
+  }
+  return v;
+}
+
+// Ascending subset: each row kept with a random probability, or one row.
+RowSet RandomRows(Rng& rng, size_t n) {
+  RowSet rows;
+  if (rng.NextBounded(6) == 0) {
+    rows.push_back(static_cast<uint32_t>(rng.NextBounded(n)));
+    return rows;
+  }
+  const double keep = rng.NextUniform(0.05, 1.0);
+  for (size_t r = 0; r < n; ++r) {
+    if (rng.NextBool(keep)) rows.push_back(static_cast<uint32_t>(r));
+  }
+  return rows;
+}
+
+DiscreteAttr DiscretizeNumbers(const std::vector<double>& column,
+                               const RowSet& rows, size_t max_bins,
+                               BinStrategy strategy) {
+  DiscretizerOptions options;
+  options.max_numeric_bins = max_bins;
+  options.strategy = strategy;
+  auto got = DiscretizeColumn(AttributeDef{"x", AttrType::kNumeric}, {}, {},
+                              NumericDomain::Build(column), rows, options);
+  EXPECT_TRUE(got.ok()) << got.status().ToString();
+  return got.ok() ? *got : DiscreteAttr{};
+}
+
+std::vector<uint64_t> EdgeBits(const std::vector<double>& edges) {
+  std::vector<uint64_t> bits;
+  for (double e : edges) bits.push_back(Bits(e));
+  return bits;
+}
+
+constexpr BinStrategy kStrategies[] = {
+    BinStrategy::kEquiWidth, BinStrategy::kEquiDepth, BinStrategy::kVOptimal};
+
+TEST(DiscretizeColumnTest, MatchesSortedReference) {
+  Rng rng(29);
+  for (int trial = 0; trial < 60; ++trial) {
+    // Every third table is smaller than most max_bins values.
+    const size_t n = 1 + rng.NextBounded(trial % 3 == 0 ? 8 : 150);
+    const int shape = trial % 5;
+    const std::vector<double> column = RandomColumn(rng, n, shape);
+    const RowSet rows = RandomRows(rng, n);
+    for (BinStrategy strategy : kStrategies) {
+      for (size_t max_bins = 1; max_bins <= 12; ++max_bins) {
+        const DiscreteAttr got =
+            DiscretizeNumbers(column, rows, max_bins, strategy);
+        const ReferenceColumn want =
+            ReferenceDiscretize(column, rows, max_bins, strategy);
+        const std::string where = std::string(BinStrategyName(strategy)) +
+                                  " shape=" + std::to_string(shape) +
+                                  " n=" + std::to_string(n) + " rows=" +
+                                  std::to_string(rows.size()) +
+                                  " max_bins=" + std::to_string(max_bins);
+        EXPECT_EQ(EdgeBits(got.bins.edges), EdgeBits(want.edges)) << where;
+        EXPECT_EQ(got.labels, want.labels) << where;
+        EXPECT_EQ(got.codes, want.codes) << where;
+      }
+    }
+  }
+}
+
+TEST(DiscretizeColumnTest, RowPermutationAndDuplicationLeaveBinsUnchanged) {
+  Rng rng(31);
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t n = 1 + rng.NextBounded(120);
+    const std::vector<double> column = RandomColumn(rng, n, trial % 5);
+    const RowSet rows = RandomRows(rng, n);
+
+    // Row r of `column` is row perm[r] of `permuted`.
+    std::vector<uint32_t> perm(n);
+    for (size_t r = 0; r < n; ++r) perm[r] = static_cast<uint32_t>(r);
+    for (size_t r = n; r > 1; --r) std::swap(perm[r - 1], perm[rng.NextBounded(r)]);
+    std::vector<double> permuted(n);
+    for (size_t r = 0; r < n; ++r) permuted[perm[r]] = column[r];
+    RowSet permuted_rows;
+    for (uint32_t r : rows) permuted_rows.push_back(perm[r]);
+    std::sort(permuted_rows.begin(), permuted_rows.end());
+
+    // Every row twice: rows r and r + n hold the same value.
+    std::vector<double> doubled = column;
+    doubled.insert(doubled.end(), column.begin(), column.end());
+    RowSet doubled_rows = rows;
+    for (uint32_t r : rows) doubled_rows.push_back(r + static_cast<uint32_t>(n));
+
+    for (BinStrategy strategy : kStrategies) {
+      for (size_t max_bins = 1; max_bins <= 12; ++max_bins) {
+        const std::string where = std::string(BinStrategyName(strategy)) +
+                                  " trial=" + std::to_string(trial) +
+                                  " max_bins=" + std::to_string(max_bins);
+        const DiscreteAttr base =
+            DiscretizeNumbers(column, rows, max_bins, strategy);
+        const DiscreteAttr p =
+            DiscretizeNumbers(permuted, permuted_rows, max_bins, strategy);
+        EXPECT_EQ(EdgeBits(p.bins.edges), EdgeBits(base.bins.edges)) << where;
+        EXPECT_EQ(p.labels, base.labels) << where;
+        for (size_t i = 0; i < rows.size(); ++i) {
+          const size_t j = static_cast<size_t>(
+              std::lower_bound(permuted_rows.begin(), permuted_rows.end(),
+                               perm[rows[i]]) -
+              permuted_rows.begin());
+          EXPECT_EQ(p.codes[j], base.codes[i]) << where << " row " << rows[i];
+        }
+        const DiscreteAttr d =
+            DiscretizeNumbers(doubled, doubled_rows, max_bins, strategy);
+        EXPECT_EQ(EdgeBits(d.bins.edges), EdgeBits(base.bins.edges)) << where;
+        EXPECT_EQ(d.labels, base.labels) << where;
       }
     }
   }

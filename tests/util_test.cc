@@ -232,6 +232,18 @@ TEST(StringUtilTest, ParseInt64Strict) {
 TEST(StringUtilTest, Format) {
   EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
   EXPECT_EQ(StringPrintf("%s=%d", "k", 6), "k=6");
+  // Shortest fixed notation that reads back as the same double.
+  EXPECT_EQ(FormatShortest(20.4), "20.4");
+  EXPECT_EQ(FormatShortest(30), "30");
+  EXPECT_EQ(FormatShortest(1e-7), "0.0000001");
+  EXPECT_EQ(FormatShortest(1e20), "100000000000000000000");
+  EXPECT_EQ(FormatShortest(-0.0), "0");
+  EXPECT_EQ(FormatShortest(0.1 + 0.2), "0.30000000000000004");
+  for (double x : {1.5e-300, 1.7976931348623157e308}) {
+    double back = 0;
+    ASSERT_TRUE(ParseDouble(FormatShortest(x), &back)) << x;
+    EXPECT_EQ(back, x);
+  }
 }
 
 // --- AsciiTable ----------------------------------------------------------------
